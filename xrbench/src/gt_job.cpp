@@ -117,14 +117,16 @@ void GtJob::finish(Report& report) const {
       report.fail("validate_gt: " + why);
   const double frames =
       double(grid_.size() * request_.evaluator.frames_per_point);
-  std::vector<double> rates;
-  for (const double s : sweep_s_) rates.push_back(frames / s);
-  report.metric("gt_frames_per_s", median(rates), "frames/s");
-  report.note("validate_gt: " + std::to_string(rates.size()) + " sweeps of " +
-              std::to_string(grid_.size()) + " points x " +
+  // A sweep runs on three pool threads, so its wall time already averages
+  // the interference on three vCPUs: the median sweep, not the fastest.
+  report.metric("gt_frames_per_s", frames / median(sweep_s_), "frames/s");
+  report.note("validate_gt: " + std::to_string(sweep_s_.size()) +
+              " sweeps of " + std::to_string(grid_.size()) + " points x " +
               std::to_string(request_.evaluator.frames_per_point) +
-              " frames, median " + std::to_string(median(rates)) +
-              " frames/s");
+              " frames, median " +
+              std::to_string(frames / median(sweep_s_)) +
+              " frames/s, fastest " +
+              std::to_string(frames / fastest(sweep_s_)) + " frames/s");
 }
 
 void GtJob::run_traced(double budget_s, bool primary, Report& report) const {

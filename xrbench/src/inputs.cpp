@@ -48,7 +48,7 @@ xr::runtime::SweepRequest gt_request(std::uint64_t seed, Size size) {
   request.grid = xr::testbed::placement_decision_grid_spec(cfg);
   request.evaluator.kind = xr::runtime::shard::EvaluatorKind::kGroundTruth;
   request.evaluator.seed = seed;
-  request.evaluator.frames_per_point = size == Size::kFull ? 200 : 20;
+  request.evaluator.frames_per_point = size == Size::kFull ? 200 : 50;
   request.execution.threads = 3;
   return request;
 }
@@ -172,7 +172,7 @@ xr::runtime::SweepRequest offload_request(std::uint64_t seed, Size size) {
   request.grid.axes.insert(
       request.grid.axes.begin(),
       numeric_axis("frame_size",
-                   context_frame_sizes(seed, size == Size::kFull ? 8 : 2)));
+                   context_frame_sizes(seed, size == Size::kFull ? 8 : 4)));
   request.grid.validate();
   request.execution.format = xr::runtime::shard::RecordFormat::kBinary;
   request.execution.threads = 1;

@@ -24,7 +24,7 @@ enum class Size { kFull, kCanary };
 
 /// The Fig. 4-style validation sweep: placement {local, remote} × CPU clock
 /// 1.0–3.0 GHz (step 0.25) × frame size 300–700 (step 25) = 306 points,
-/// ground truth at 200 frames per point (canary: 20), evaluator seed =
+/// ground truth at 200 frames per point (canary: 50), evaluator seed =
 /// `seed`, on a dedicated 3-thread pool.
 [[nodiscard]] xr::runtime::SweepRequest gt_request(std::uint64_t seed,
                                                    Size size);
@@ -83,8 +83,8 @@ struct QueryStream {
                                                       std::size_t count);
 
 /// offload_search_request over serving_space() on the remote factory
-/// scenario, with a seeded frame_size context axis (8 values, canary: 2)
-/// outermost: 50,688 candidates (canary: 12,672). Binary record streams,
+/// scenario, with a seeded frame_size context axis (8 values, canary: 4)
+/// outermost: 50,688 candidates (canary: 25,344). Binary record streams,
 /// execution.threads = 1.
 [[nodiscard]] xr::runtime::SweepRequest offload_request(std::uint64_t seed,
                                                         Size size);

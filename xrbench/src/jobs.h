@@ -21,6 +21,7 @@
 #include "runtime/plan_index.h"
 #include "runtime/sweep.h"
 #include "runtime/sweep_request.h"
+#include "stats.h"
 
 namespace xrbench {
 
@@ -93,7 +94,16 @@ class ServeJob {
   xr::core::XrPerformanceModel model_;
   /// Reference plan hash per stream position, filled by check().
   std::vector<std::optional<std::uint64_t>> reference_;
-  Pass pass_;  ///< the untraced run's queries so far.
+  /// The untraced run's queries so far; latency_us holds only the
+  /// current step's, so resident memory does not grow with throughput.
+  Pass pass_;
+  /// One step's slice of the stream, summarized when the step ends.
+  struct Slice {
+    double us_per_query = 0;  ///< summed serve() time ÷ queries.
+    double p50_us = 0;
+    std::optional<Percentile> p99;  ///< in us.
+  };
+  std::vector<Slice> slices_;
 };
 
 /// offload_sweep: one offload search run monolithically (plan_offload) and

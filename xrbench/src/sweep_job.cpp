@@ -199,14 +199,19 @@ void SweepJob::finish(Report& report) {
       report.fail("offload_sweep: a plan_offload run's plan differs");
   for (const ServiceOutput& out : service_outputs_)
     check_service(out, reference_summary, reference_plan, report);
+  // The service runs on three threads (coordinator and two workers), so
+  // it is reported at its median run like the GT sweep; plan_offload runs
+  // on one thread and is reported at its fastest run (see fastest()).
   report.metric("service_sweep_s", median(service_s_), "s");
-  report.metric("plan_mono_ms", median(mono_ms_), "ms");
+  report.metric("plan_mono_ms", fastest(mono_ms_), "ms");
   report.note("offload_sweep: " + std::to_string(reference_summary.grid_size) +
               " candidates; " + std::to_string(service_s_.size()) +
               " service runs, median " + std::to_string(median(service_s_)) +
-              " s; " + std::to_string(mono_ms_.size()) +
-              " plan_offload runs, median " + std::to_string(median(mono_ms_)) +
-              " ms");
+              " s, fastest " + std::to_string(fastest(service_s_)) + " s; " +
+              std::to_string(mono_ms_.size()) +
+              " plan_offload runs, fastest " +
+              std::to_string(fastest(mono_ms_)) + " ms, median " +
+              std::to_string(median(mono_ms_)) + " ms");
 }
 
 void SweepJob::run_traced(bool primary, Report& report) {
