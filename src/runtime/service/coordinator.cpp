@@ -57,6 +57,14 @@ struct WorkerState {
   std::optional<obs::ObsDocument> snapshot;
 };
 
+/// Keep a worker's final snapshot. It arrives twice, on the snapshot
+/// message and on the deregister, so the first copy to land wins.
+void collect_snapshot(WorkerState& w, const core::Json& doc) {
+  if (w.snapshot) return;
+  w.snapshot = obs::ObsDocument::from_json(doc);
+  CoordinatorMetrics::get().snapshots_collected.add();
+}
+
 /// Per-shard attempt stem: <shard_dir>/shard<k>.a<attempt>. Attempt
 /// numbering keeps a revoked straggler's writes off the stream the next
 /// attempt resumes.
@@ -197,6 +205,8 @@ CoordinatorResult run_coordinator(Transport& transport,
           w->live = false;
           w->lease.reset();
           metrics.workers_deregistered.add();
+          if (const core::Json* doc = msg.body.find("doc"))
+            collect_snapshot(*w, *doc);
           break;
         }
         case MessageKind::kHeartbeat: {
@@ -275,8 +285,7 @@ CoordinatorResult run_coordinator(Transport& transport,
           break;
         }
         case MessageKind::kSnapshot: {
-          w->snapshot = obs::ObsDocument::from_json(msg.body.at("doc"));
-          metrics.snapshots_collected.add();
+          collect_snapshot(*w, msg.body.at("doc"));
           break;
         }
         default:
@@ -359,8 +368,9 @@ CoordinatorResult run_coordinator(Transport& transport,
   }
 
   // ---- drain: shutdown broadcast + snapshot collection ------------------
-  for (const auto& [name, w] : workers)
-    if (w.live) safe_send(name, make_shutdown());
+  // Presumed-dead workers are told too: a straggler whose lease expired
+  // may be alive and idle, and nothing else would ever tell it to exit.
+  for (const auto& entry : workers) safe_send(entry.first, make_shutdown());
   const std::uint64_t drain_deadline = now_ms() + options.shutdown_grace_ms;
   const auto all_drained = [&] {
     for (const auto& [name, w] : workers)
@@ -376,16 +386,15 @@ CoordinatorResult run_coordinator(Transport& transport,
           safe_send(msg.from, make_shutdown());
           break;
         case MessageKind::kSnapshot:
-          if (it != workers.end()) {
-            it->second.snapshot =
-                obs::ObsDocument::from_json(msg.body.at("doc"));
-            metrics.snapshots_collected.add();
-          }
+          if (it != workers.end())
+            collect_snapshot(it->second, msg.body.at("doc"));
           break;
         case MessageKind::kDeregister:
           if (it != workers.end()) {
             it->second.live = false;
             metrics.workers_deregistered.add();
+            if (const core::Json* doc = msg.body.find("doc"))
+              collect_snapshot(it->second, *doc);
           }
           break;
         default:

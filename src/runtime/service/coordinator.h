@@ -38,9 +38,12 @@
 // returns the shard to the queue immediately).
 //
 // Telemetry: workers attach their "xr.obs.snapshot.v1" document at
-// shutdown; the coordinator exposes ONE aggregated snapshot — its own
-// metrics unlabeled plus every worker's under a worker="name" label
-// (obs::aggregate_labeled) — through CoordinatorResult / --metrics-out.
+// shutdown, to both the snapshot message and the deregister (one lost
+// message cannot lose it); the coordinator exposes ONE aggregated
+// snapshot — its own metrics unlabeled plus every worker's under a
+// worker="name" label (obs::aggregate_labeled) — through
+// CoordinatorResult / --metrics-out. The shutdown goes to every worker
+// seen, presumed-dead ones included, so a live straggler never idles on.
 #pragma once
 
 #include <cstddef>

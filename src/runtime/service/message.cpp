@@ -278,8 +278,10 @@ Message make(MessageKind kind, std::string from, Json body) {
 Message make_register(const std::string& from) {
   return make(MessageKind::kRegister, from, Json::object());
 }
-Message make_deregister(const std::string& from) {
-  return make(MessageKind::kDeregister, from, Json::object());
+Message make_deregister(const std::string& from, Json snapshot_doc) {
+  Json body = Json::object();
+  if (!snapshot_doc.is_null()) body.set("doc", std::move(snapshot_doc));
+  return make(MessageKind::kDeregister, from, std::move(body));
 }
 Message make_heartbeat(const std::string& from, const HeartbeatBody& body) {
   return make(MessageKind::kHeartbeat, from, body.to_json());

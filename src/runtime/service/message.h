@@ -17,7 +17,9 @@
 //   register        worker joins the pool (idempotent; re-sent to rejoin
 //                   after a revoke).
 //   deregister      worker leaves cleanly; its active lease returns to the
-//                   pending queue.
+//                   pending queue. At shutdown it also carries the worker's
+//                   final snapshot `doc`, so losing either that message or
+//                   the snapshot message keeps the telemetry.
 //   heartbeat       liveness + progress of the worker's active lease; the
 //                   coordinator extends the lease deadline only when the
 //                   (lease, attempt) pair matches the current holder.
@@ -148,7 +150,10 @@ struct RevokeBody {
 // ---- envelope helpers ---------------------------------------------------
 
 [[nodiscard]] Message make_register(const std::string& from);
-[[nodiscard]] Message make_deregister(const std::string& from);
+/// `snapshot_doc`, when not null, is the worker's final snapshot (the
+/// same document make_snapshot sends).
+[[nodiscard]] Message make_deregister(const std::string& from,
+                                      core::Json snapshot_doc = core::Json());
 [[nodiscard]] Message make_heartbeat(const std::string& from,
                                      const HeartbeatBody& body);
 [[nodiscard]] Message make_lease_grant(const LeaseGrantBody& body);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -87,6 +88,9 @@ struct ActiveLease {
   /// One local repair per lease: set after wiping the stem and retrying
   /// fresh; a second failure reports lease_failed.
   bool fresh_retried = false;
+  /// The lease's open shard: opened by its first slice, stepped by every
+  /// slice after, so the stem is scanned once per lease, not per slice.
+  std::unique_ptr<shard::ShardRun> run;
 };
 
 }  // namespace
@@ -224,9 +228,11 @@ WorkerLoopOutcome run_service_worker(Transport& transport,
           break;
         }
         case MessageKind::kShutdown: {
-          safe_send(make_snapshot(options.name,
-                                  obs::capture(false).to_json()));
-          safe_send(make_deregister(options.name));
+          // The deregister repeats the snapshot: one message lost on the
+          // wire must not lose this worker's telemetry.
+          core::Json doc = obs::capture(false).to_json();
+          safe_send(make_snapshot(options.name, doc));
+          safe_send(make_deregister(options.name, std::move(doc)));
           out.shutdown = true;
           return out;
         }
@@ -253,8 +259,16 @@ WorkerLoopOutcome run_service_worker(Transport& transport,
                 "fault injected: service.worker.slice io_error (" +
                 active->spec.output + ")");
         }
-        slice = shard::run_worker(active->spec, active->slice_records);
+        // Opened inside the try: a resume scan that refuses the stem (a
+        // corrupt or foreign copied-forward attempt) takes the same
+        // repair path as a failed step.
+        if (!active->run)
+          active->run = std::make_unique<shard::ShardRun>(active->spec);
+        slice = active->run->step(active->slice_records);
       } catch (const std::exception& e) {
+        // A failed step leaves the run unusable; close it before the
+        // repair wipes its files.
+        active->run.reset();
         if (!active->fresh_retried) {
           // Local repair, once per lease: the slice may have died on a
           // poisoned stem (torn stream, bad checkpoint), and re-evaluating
@@ -279,11 +293,15 @@ WorkerLoopOutcome run_service_worker(Transport& transport,
       metrics.slices.add();
       out.records_evaluated += slice.evaluated_records;
       active->records_done = slice.shard_records;
-      send_heartbeat(now_ms());
+      if (const std::uint64_t t = now_ms();
+          t - last_heartbeat >= options.heartbeat_ms)
+        send_heartbeat(t);
       if (options.slice_delay_ms)
         std::this_thread::sleep_for(
             std::chrono::milliseconds(options.slice_delay_ms));
       if (slice.complete) {
+        // Close the stream before the coordinator folds it.
+        active->run.reset();
         LeaseCompleteBody done;
         done.lease = active->grant.lease;
         done.attempt = active->grant.attempt;
@@ -291,8 +309,8 @@ WorkerLoopOutcome run_service_worker(Transport& transport,
         done.records = slice.shard_records;
         if (!safe_send(make_lease_complete(options.name, done))) {
           // Keep the lease: the shard is fully evaluated, so the next
-          // iteration's run_worker returns complete immediately and we
-          // retry the send — heartbeats keep the lease alive meanwhile.
+          // slice reopens it, finds it complete, and retries the send —
+          // heartbeats keep the lease alive meanwhile.
           std::this_thread::sleep_for(
               std::chrono::milliseconds(options.poll_ms));
           continue;

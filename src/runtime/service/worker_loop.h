@@ -1,22 +1,24 @@
 // The lease-driven worker state machine behind `sweep_worker --serve`.
 //
 // A serving worker registers with the coordinator, then loops: poll the
-// mailbox, run the active lease one slice at a time (run_worker with
-// max_new_records — every slice boundary leaves a flushed, resumable
-// checkpoint), heartbeat between slices, and send lease_complete when the
-// shard's record stream is done. The slice structure is what makes a
-// serving worker both killable (a SIGKILL lands between or inside a
-// slice; either way the stem holds a valid prefix the reassigned attempt
-// resumes byte-identically) and revocable (a revoke or shutdown is seen
-// at the next slice boundary, never mid-record).
+// mailbox, step the active lease one slice at a time, heartbeat at most
+// once per heartbeat_ms, and send lease_complete when the shard's record
+// stream is done. Each lease holds one shard::ShardRun: the first slice
+// opens it (one scan of the stem, where a copied-forward attempt may
+// sit) and every slice steps it, so a slice costs only its own records.
+// Every slice ends on a flushed checkpoint, which is what makes a serving
+// worker both killable (a SIGKILL lands between or inside a slice; either
+// way the stem holds a valid prefix the reassigned attempt resumes
+// byte-identically) and revocable (a revoke or shutdown is seen at the
+// next slice boundary, never mid-record).
 //
 // Churn protocol:
 //   * grant      -> fetch + cache the request document (bounded re-fetch:
 //                   a corrupt, truncated, or fingerprint-mismatched board
 //                   blob is a NAMED lease_failed, never an evaluation of
 //                   the wrong grid), copy the previous attempt's stem
-//                   forward when this is a reassignment, then slice
-//                   through the shard with resume always on;
+//                   forward when this is a reassignment, then open the
+//                   shard with resume always on and slice through it;
 //   * revoke     -> abandon the active lease (the coordinator has already
 //                   reassigned it) and re-register to rejoin the pool;
 //   * shutdown   -> send the final obs snapshot + deregister, exit.
@@ -38,11 +40,15 @@ namespace xr::runtime::service {
 struct WorkerLoopOptions {
   /// Mailbox name; must be unique per live worker ([A-Za-z0-9._-]).
   std::string name;
-  /// Records evaluated per slice between heartbeats/mailbox polls,
-  /// rounded up per lease to the request's checkpoint chunk (binary
-  /// streams resume only on chunk boundaries). Keep slice wall time well
-  /// under the coordinator's lease timeout.
+  /// Records evaluated per slice between mailbox polls, rounded up per
+  /// lease to the request's checkpoint chunk (binary streams resume only
+  /// on chunk boundaries). Keep slice wall time well under the
+  /// coordinator's lease timeout.
   std::size_t slice_records = 32;
+  /// Heartbeat period, idle or leased: after a slice the worker sends one
+  /// only when this long has passed since the last. Must stay well below
+  /// the coordinator's lease_timeout_ms, or leases expire while their
+  /// holders are working.
   std::uint64_t heartbeat_ms = 200;
   std::uint64_t poll_ms = 25;
   /// Exit (without deregistering) when idle this long with no coordinator

@@ -501,6 +501,12 @@ void StreamingSink::write_partial_checkpoint() {
     if (!out)
       throw std::runtime_error("StreamingSink: cannot open " + tmp);
     out << partial_.to_json().dump() << '\n';
+    // A failed write (disk full) must not be renamed over the last good
+    // checkpoint.
+    out.flush();
+    if (!out)
+      throw std::runtime_error("StreamingSink: failed writing checkpoint " +
+                               tmp + "; " + path + " keeps the previous one");
   }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);

@@ -5,7 +5,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/framework.h"
@@ -247,8 +249,11 @@ WorkerSpec WorkerSpec::from_json(const Json& j) {
   return out;
 }
 
-WorkerOutcome run_worker(const WorkerSpec& spec,
-                         std::size_t max_new_records) {
+namespace {
+
+/// The spec checks that need no grid (the refine range check below needs
+/// its size). Returns the spec so the run can validate in its initializer.
+const WorkerSpec& validated(const WorkerSpec& spec) {
   if (spec.shard_count == 0)
     throw std::invalid_argument("run_worker: shard_count must be >= 1");
   if (spec.shard_id >= spec.shard_count)
@@ -283,16 +288,63 @@ WorkerOutcome run_worker(const WorkerSpec& spec,
           "run_worker: refine/coarse_input belong to the fine leg "
           "(adaptive_pass 2); the coarse leg evaluates its whole shard");
   }
-  const bool hybrid = spec.adaptive && spec.adaptive_pass == 2;
+  return spec;
+}
 
-  const ScenarioGrid grid = spec.grid.build();
+}  // namespace
 
-  // The evaluator this leg actually runs, and the sweep fingerprint its
-  // stream carries. A coarse leg is an ordinary sweep at coarse fidelity
-  // (pass-1 seeds); a fine leg's hybrid stream is stamped with the
-  // adaptive fingerprint so it can never be resumed as — or merged with —
-  // either single-fidelity sweep.
-  EvaluatorSpec eval = spec.evaluator;
+struct ShardRun::State {
+  explicit State(const WorkerSpec& s);
+
+  /// Open the record stream — scanned and identity-checked when resuming
+  /// — and position the coarse stream past the recovered prefix.
+  void open(bool resume);
+
+  [[nodiscard]] bool refined(std::size_t g) const {
+    return std::binary_search(spec.refine.begin(), spec.refine.end(), g);
+  }
+
+  const WorkerSpec spec;
+  const bool hybrid;
+  const ScenarioGrid grid;
+  const ShardPlan plan;
+  /// Single normalization point for the chunk size: the sink's checkpoint
+  /// cadence and the step loop share this exact value.
+  const std::size_t chunk;
+  const std::size_t shard_n;
+  const core::XrPerformanceModel model;
+  /// The evaluator this leg actually runs.
+  EvaluatorSpec eval;
+  ShardIdentity id;
+  SinkOptions options;
+  std::unique_ptr<ThreadPool> own_pool;
+  ThreadPool* pool = nullptr;
+  /// Hybrid (pass-2) leg with indices outside the refinement set: those
+  /// records are copied from this shard's coarse stream, not evaluated.
+  bool needs_coarse = false;
+  std::optional<StreamingSink> sink;
+  std::unique_ptr<CoarseStream> coarse;
+  /// Records the latest open recovered; reported once, by the next step.
+  std::size_t recovered = 0;
+  /// The last step stopped mid-chunk: the next one reopens the stem so
+  /// the resume scan puts the stream back on the chunk grid.
+  bool off_grid = false;
+  /// Set while a step runs; still set after a step threw.
+  bool broken = false;
+};
+
+ShardRun::State::State(const WorkerSpec& s)
+    : spec(validated(s)),
+      hybrid(spec.adaptive && spec.adaptive_pass == 2),
+      grid(spec.grid.build()),
+      plan(grid.size(), spec.shard_count, spec.strategy),
+      chunk(std::max<std::size_t>(spec.chunk_records, 1)),
+      shard_n(plan.shard_size(spec.shard_id)),
+      eval(spec.evaluator) {
+  // The sweep fingerprint this leg's stream carries. A coarse leg is an
+  // ordinary sweep at coarse fidelity (pass-1 seeds); a fine leg's hybrid
+  // stream is stamped with the adaptive fingerprint so it can never be
+  // resumed as — or merged with — either single-fidelity sweep.
   std::uint64_t fingerprint = grid_fingerprint(spec.grid, spec.evaluator);
   if (spec.adaptive) {
     if (spec.adaptive_pass == 1) {
@@ -304,6 +356,8 @@ WorkerOutcome run_worker(const WorkerSpec& spec,
                                                   *spec.adaptive);
     }
   }
+  id = {spec.shard_id, spec.shard_count, spec.strategy, grid.size(),
+        fingerprint};
   if (hybrid) {
     for (std::size_t k = 0; k < spec.refine.size(); ++k) {
       if (spec.refine[k] >= grid.size())
@@ -314,24 +368,53 @@ WorkerOutcome run_worker(const WorkerSpec& spec,
             "run_worker: refine indices must be sorted ascending and "
             "unique");
     }
+    for (std::size_t l = 0; l < shard_n && !needs_coarse; ++l)
+      needs_coarse = !refined(plan.global_index(spec.shard_id, l));
+    // The coarse stream this leg copies from must be complete and this
+    // exact shard of this exact coarse sweep.
+    if (needs_coarse) {
+      if (spec.coarse_input.empty())
+        throw std::invalid_argument(
+            "run_worker: refinement pass needs coarse_input — this shard "
+            "has indices outside the refinement set to copy");
+      const ShardIdentity coarse_id{
+          spec.shard_id, spec.shard_count, spec.strategy, grid.size(),
+          grid_fingerprint(spec.grid, runtime::coarse_evaluator(
+                                          spec.evaluator, *spec.adaptive))};
+      check_coarse_complete(spec.coarse_input + ".partial.json", coarse_id,
+                            shard_n);
+    }
   }
 
-  const ShardPlan plan(grid.size(), spec.shard_count, spec.strategy);
-  const ShardIdentity id{spec.shard_id, spec.shard_count, spec.strategy,
-                         grid.size(), fingerprint};
-  // Single normalization point for the chunk size: the sink's checkpoint
-  // cadence and the worker loop below share this exact value.
-  const std::size_t chunk = std::max<std::size_t>(spec.chunk_records, 1);
-  SinkOptions options;
   options.output_stem = spec.output;
   options.format = spec.format;
   options.chunk_records = chunk;
   options.ground_truth = spec.evaluator.is_ground_truth();
   options.metrics_only = spec.metrics;
 
+  // Worker pool per the BatchOptions convention; chunks always land in
+  // ascending index order regardless of thread count (the per-point seed
+  // depends only on the global index, so threading never changes records).
+  if (spec.threads == 0)
+    pool = &ThreadPool::shared();
+  else if (spec.threads > 1)
+    pool = (own_pool = std::make_unique<ThreadPool>(spec.threads)).get();
+
+  open(spec.resume);
+
+  WorkerMetrics& metrics = WorkerMetrics::get();
+  metrics.runs.add();
+  metrics.shard_id.set(double(spec.shard_id));
+  metrics.shard_size.set(double(shard_n));
+}
+
+void ShardRun::State::open(bool resume) {
+  // Release the current stream before the scan truncates its file.
+  coarse.reset();
+  sink.reset();
   StreamingSink::Recovery recovery;
-  const StreamingSink::Recovery* recovered = nullptr;
-  if (spec.resume) {
+  const StreamingSink::Recovery* from = nullptr;
+  if (resume) {
     recovery = StreamingSink::scan_existing(options, id, plan);
     // The identity check must run whenever a checkpoint exists — not only
     // when the scan recovered records. A spec mismatch (e.g. resuming a
@@ -344,75 +427,51 @@ WorkerOutcome run_worker(const WorkerSpec& spec,
         std::filesystem::exists(partial_path, ec)) {
       const PartialReduction prior = check_resume_identity(partial_path, id);
       // Carry the prior legs' throughput stats into the rebuilt reduction;
-      // set_stats below then accumulates instead of clobbering, so a
-      // resume that evaluates nothing new cannot zero the recorded wall
-      // time.
+      // step() then accumulates instead of clobbering, so a resume that
+      // evaluates nothing new cannot zero the recorded wall time.
       recovery.partial.wall_ms = prior.wall_ms;
       recovery.partial.threads = prior.threads;
     }
-    recovered = &recovery;
+    from = &recovery;
   }
-  StreamingSink sink(options, id, recovered);
-
-  // Worker pool per the BatchOptions convention; chunks always land in
-  // ascending index order regardless of thread count (the per-point seed
-  // depends only on the global index, so threading never changes records).
-  std::unique_ptr<ThreadPool> own_pool;
-  ThreadPool* pool = nullptr;
-  if (spec.threads == 0)
-    pool = &ThreadPool::shared();
-  else if (spec.threads > 1)
-    pool = (own_pool = std::make_unique<ThreadPool>(spec.threads)).get();
-
-  const core::XrPerformanceModel model;
-  const std::size_t shard_n = plan.shard_size(spec.shard_id);
-
-  // Hybrid (pass-2) leg: open this shard's coarse stream when any of its
-  // indices fall outside the refinement set (those records are copied, not
-  // re-evaluated), after verifying the coarse leg really completed.
-  const auto refined = [&](std::size_t g) {
-    return std::binary_search(spec.refine.begin(), spec.refine.end(), g);
-  };
-  std::unique_ptr<CoarseStream> coarse;
-  if (hybrid) {
-    bool needs_coarse = false;
-    for (std::size_t l = 0; l < shard_n && !needs_coarse; ++l)
-      needs_coarse = !refined(plan.global_index(spec.shard_id, l));
-    if (needs_coarse) {
-      if (spec.coarse_input.empty())
-        throw std::invalid_argument(
-            "run_worker: refinement pass needs coarse_input — this shard "
-            "has indices outside the refinement set to copy");
-      const ShardIdentity coarse_id{
-          spec.shard_id, spec.shard_count, spec.strategy, grid.size(),
-          grid_fingerprint(spec.grid, runtime::coarse_evaluator(
-                                          spec.evaluator, *spec.adaptive))};
-      check_coarse_complete(spec.coarse_input + ".partial.json", coarse_id,
-                            shard_n);
-      coarse = std::make_unique<CoarseStream>(spec.coarse_input);
-    }
+  sink.emplace(options, id, from);
+  recovered = sink->records_written();
+  if (recovered > 0) WorkerMetrics::get().resume_events.add();
+  if (needs_coarse) {
+    // The coarse stream tracks the output stream record for record; a
+    // resumed leg starts past the already-delivered prefix.
+    coarse = std::make_unique<CoarseStream>(spec.coarse_input);
+    coarse->skip(recovered);
   }
+  off_grid = false;
+}
+
+ShardRun::ShardRun(const WorkerSpec& spec)
+    : state_(std::make_unique<State>(spec)) {}
+
+ShardRun::~ShardRun() = default;
+
+WorkerOutcome ShardRun::step(std::size_t max_new_records) {
+  State& s = *state_;
+  if (s.broken)
+    throw std::logic_error(
+        "ShardRun: an earlier step failed; reopen the shard with resume");
+  s.broken = true;
+  if (s.off_grid) s.open(/*resume=*/true);
+  StreamingSink& sink = *s.sink;
 
   WorkerOutcome out;
-  out.resumed_records = sink.records_written();
+  out.resumed_records = std::exchange(s.recovered, 0);
   out.records_path = sink.records_path();
   out.partial_path = sink.partial_path();
 
   const obs::Span worker_span("worker.run");
   WorkerMetrics& metrics = WorkerMetrics::get();
-  metrics.runs.add();
-  metrics.shard_id.set(double(spec.shard_id));
-  metrics.shard_size.set(double(shard_n));
-  if (out.resumed_records > 0) metrics.resume_events.add();
-
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t done = sink.records_written();
   metrics.beat(done);
-  // The coarse stream tracks the output stream line for line; a resumed
-  // leg starts past the already-delivered prefix.
-  if (coarse) coarse->skip(done);
-  while (done < shard_n) {
-    std::size_t m = std::min(chunk, shard_n - done);
+  while (done < s.shard_n) {
+    std::size_t m = std::min(s.chunk, s.shard_n - done);
     if (max_new_records)
       m = std::min(m, max_new_records - out.evaluated_records);
     if (m == 0) break;
@@ -420,14 +479,14 @@ WorkerOutcome run_worker(const WorkerSpec& spec,
     // Pull this chunk's coarse records up front — the stream read (decode
     // included) is strictly sequential; evaluation then runs on the pool.
     std::vector<ParsedRecord> coarse_records;
-    if (coarse) {
+    if (s.coarse) {
       coarse_records.resize(m);
-      for (std::size_t j = 0; j < m; ++j) coarse->next(coarse_records[j]);
+      for (std::size_t j = 0; j < m; ++j) s.coarse->next(coarse_records[j]);
     }
 
     const auto evaluate = [&](std::size_t j) {
-      const std::size_t g = plan.global_index(spec.shard_id, done + j);
-      if (hybrid && !refined(g)) {
+      const std::size_t g = s.plan.global_index(s.spec.shard_id, done + j);
+      if (s.hybrid && !s.refined(g)) {
         const ParsedRecord& r = coarse_records[j];
         if (r.index != g)
           throw std::runtime_error(
@@ -437,24 +496,24 @@ WorkerOutcome run_worker(const WorkerSpec& spec,
           throw std::runtime_error(
               "run_worker: coarse record for index " + std::to_string(g) +
               " carries no ground-truth measurement");
-        if (r.slim != spec.metrics)
+        if (r.slim != s.spec.metrics)
           throw std::runtime_error(
               "run_worker: coarse record shape (slim vs full) disagrees "
               "with this leg's metrics mode — rerun the coarse pass with "
               "the same execution.metrics");
         return EvaluatedPoint{r.report, r.gt};
       }
-      return evaluate_point(eval, model, grid.at(g), g);
+      return evaluate_point(s.eval, s.model, s.grid.at(g), g);
     };
     std::vector<EvaluatedPoint> points;
-    if (pool) {
-      points = pool->map(m, evaluate, spec.grain);
+    if (s.pool) {
+      points = s.pool->map(m, evaluate, s.spec.grain);
     } else {
       points.reserve(m);
       for (std::size_t j = 0; j < m; ++j) points.push_back(evaluate(j));
     }
     for (std::size_t j = 0; j < m; ++j)
-      sink.append(plan.global_index(spec.shard_id, done + j), points[j]);
+      sink.append(s.plan.global_index(s.spec.shard_id, done + j), points[j]);
 
     done += m;
     out.evaluated_records += m;
@@ -464,18 +523,28 @@ WorkerOutcome run_worker(const WorkerSpec& spec,
     if (max_new_records && out.evaluated_records >= max_new_records) break;
   }
   const auto t1 = std::chrono::steady_clock::now();
-  // Accumulate across resume legs; a leg that evaluated nothing keeps the
-  // prior thread count (there is no meaningful "this run" value for it).
-  const std::size_t leg_threads = pool ? pool->size() : 1;
+  // Accumulate across steps and resume legs; a step that evaluated
+  // nothing keeps the prior thread count (there is no meaningful "this
+  // run" value for it).
+  const std::size_t leg_threads = s.pool ? s.pool->size() : 1;
   sink.set_stats(
       sink.partial().wall_ms +
           std::chrono::duration<double, std::milli>(t1 - t0).count(),
       out.evaluated_records > 0 ? leg_threads : sink.partial().threads);
 
   out.shard_records = done;
-  out.complete = done == shard_n;
+  out.complete = done == s.shard_n;
   out.partial = sink.finalize();
+  // Every step starts on an empty chunk buffer, so a budget that is not
+  // a whole number of chunks ended by flushing an undersized one.
+  s.off_grid = !out.complete && out.evaluated_records % s.chunk != 0;
+  s.broken = false;
   return out;
+}
+
+WorkerOutcome run_worker(const WorkerSpec& spec,
+                         std::size_t max_new_records) {
+  return ShardRun(spec).step(max_new_records);
 }
 
 }  // namespace xr::runtime::shard

@@ -2,7 +2,11 @@
 //
 // run_worker() is the whole of tools/sweep_worker.cpp minus argument
 // parsing, kept in the library so tests can drive the exact production code
-// path in-process (including kill/resume, via max_new_records).
+// path in-process (including kill/resume, via max_new_records). It is one
+// ShardRun plus one step: a ShardRun opens the shard once (spec checks,
+// grid, resume scan, sink, pool) and then steps through it, so a caller
+// that runs a shard in slices — the service worker, one ShardRun per
+// lease — scans the stem once instead of once per slice.
 //
 // Shard spec document (the tools' --spec format):
 //
@@ -35,6 +39,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -119,12 +124,44 @@ struct WorkerSpec {
 
 struct WorkerOutcome {
   std::size_t shard_records = 0;     ///< records in the stream at exit.
-  std::size_t resumed_records = 0;   ///< recovered from the checkpoint.
-  std::size_t evaluated_records = 0; ///< newly evaluated this run.
+  std::size_t resumed_records = 0;   ///< recovered from disk before it.
+  std::size_t evaluated_records = 0; ///< newly evaluated by this run/step.
   bool complete = false;             ///< reached the end of the shard.
   PartialReduction partial;
   std::string records_path;          ///< the record stream (either format).
   std::string partial_path;
+};
+
+/// One shard held open across steps. The constructor does everything a
+/// run needs once: validate the spec, build the grid and plan, scan and
+/// identity-check an existing stream when spec.resume is set (a refused
+/// scan throws here), and open the sink, the worker pool, and a fine
+/// leg's coarse stream. Every step() ends on a flushed checkpoint, so
+/// destroying the run between steps leaves what a kill between two
+/// run_worker calls leaves, and a later resume continues it
+/// byte-identically. Throws on invalid specs and I/O failure; a step that
+/// throws leaves the run unusable (further steps throw std::logic_error),
+/// and the caller reopens the stem with resume.
+class ShardRun {
+ public:
+  explicit ShardRun(const WorkerSpec& spec);
+  ~ShardRun();
+  ShardRun(const ShardRun&) = delete;
+  ShardRun& operator=(const ShardRun&) = delete;
+
+  /// Evaluate up to max_new_records new records (0 = the rest of the
+  /// shard) and checkpoint. The outcome's evaluated_records counts this
+  /// step; resumed_records counts the records recovered from disk before
+  /// it (the opening scan, so 0 on later steps). Steps of whole
+  /// checkpoint chunks keep the stream on the chunk grid; a step that
+  /// stops mid-chunk flushes an undersized chunk, and the next step
+  /// reopens the stem through the resume scan, as a new run_worker call
+  /// would, so outputs stay byte-identical in either format.
+  [[nodiscard]] WorkerOutcome step(std::size_t max_new_records = 0);
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
 };
 
 /// Run one shard to completion, or until max_new_records new records when
@@ -133,6 +170,7 @@ struct WorkerOutcome {
 /// that landed between chunk flushes. The harsher aftermaths (a torn
 /// trailing line, a lost unflushed chunk) are covered by the tests that
 /// truncate the files by hand; scan_existing handles all of them.
+/// Equivalent to ShardRun(spec).step(max_new_records).
 /// Throws on invalid specs and I/O failure.
 [[nodiscard]] WorkerOutcome run_worker(const WorkerSpec& spec,
                                        std::size_t max_new_records = 0);

@@ -1,7 +1,9 @@
 // The sharded sweep acceptance contract: for random grids and shard counts
 // K ∈ {1, 2, 3, 7}, merging K partial reductions reproduces the monolithic
-// BatchEvaluator result bitwise (indices, optima, ranges, Pareto set), and
-// a worker killed between chunks resumes to byte-identical outputs.
+// BatchEvaluator result bitwise (indices, optima, ranges, Pareto set), a
+// worker killed between chunks resumes to byte-identical outputs, and a
+// shard stepped in slices through one ShardRun writes the bytes one
+// run_worker call writes.
 #include "runtime/shard/merge.h"
 
 #include <gtest/gtest.h>
@@ -210,6 +212,105 @@ TEST_F(ShardedMergeTest, ResumeAfterKillIsByteIdentical) {
   EXPECT_TRUE(third.complete);
   EXPECT_EQ(third.evaluated_records, 0u);
   EXPECT_EQ(read_file(third.records_path), read_file(clean.records_path));
+}
+
+/// A checkpoint's bytes minus its wall time, the one field outside the
+/// byte-identity law.
+std::string checkpoint_sans_wall(const std::string& path) {
+  Json doc = Json::parse(read_file(path));
+  Json stats = doc.at("stats");
+  stats.set("wall_ms", 0.0);
+  doc.set("stats", std::move(stats));
+  return doc.dump();
+}
+
+TEST_F(ShardedMergeTest, SteppedShardRunMatchesOneRunInBothFormats) {
+  WorkerSpec spec;
+  spec.grid.factory = "remote";
+  spec.grid.frame_size = 500;
+  spec.grid.cpu_ghz = 2.0;
+  spec.grid.axes = {{"frame_size", {300, 400, 500, 600, 700, 800}, {}},
+                    {"cpu_ghz", {1.0, 1.5, 2.0, 3.0}, {}},
+                    {"codec_mbps", {2.0, 8.0, 12.0}, {}}};
+  spec.shard_id = 1;
+  spec.shard_count = 2;
+  spec.chunk_records = 3;
+  for (const RecordFormat format : {RecordFormat::kJsonl,
+                                    RecordFormat::kBinary}) {
+    SCOPED_TRACE(format_name(format));
+    spec.format = format;
+    spec.resume = false;
+    spec.shard_id = 0;
+    spec.output = stem(std::string("sibling.") + format_name(format));
+    const auto sibling = run_worker(spec);
+    spec.shard_id = 1;
+    spec.output = stem(std::string("clean.") + format_name(format));
+    const auto clean = run_worker(spec);
+    ASSERT_TRUE(clean.complete);
+    ASSERT_GT(clean.shard_records, 7u * spec.chunk_records);
+    const auto expect_clean = [&](const WorkerOutcome& out) {
+      EXPECT_TRUE(out.complete);
+      EXPECT_EQ(read_file(out.records_path), read_file(clean.records_path));
+      EXPECT_EQ(checkpoint_sans_wall(out.partial_path),
+                checkpoint_sans_wall(clean.partial_path));
+      std::string why;
+      EXPECT_TRUE(summaries_equivalent(
+          merge_partials({sibling.partial, clean.partial}),
+          merge_partials({sibling.partial, out.partial}), &why))
+          << why;
+    };
+
+    // One open, then slices of whole chunks (and one off the chunk grid,
+    // which must reopen through the resume scan), as a serving worker
+    // steps a lease.
+    for (const std::size_t slice : {std::size_t{3}, std::size_t{6},
+                                     std::size_t{21}, std::size_t{4}}) {
+      SCOPED_TRACE("slice " + std::to_string(slice));
+      spec.output = stem("stepped." + std::to_string(slice) + "." +
+                         format_name(format));
+      ShardRun run(spec);
+      WorkerOutcome out;
+      std::size_t evaluated = 0, resumed = 0;
+      do {
+        out = run.step(slice);
+        evaluated += out.evaluated_records;
+        resumed += out.resumed_records;
+      } while (!out.complete && out.evaluated_records > 0);
+      if (slice % spec.chunk_records == 0) {
+        EXPECT_EQ(evaluated, clean.shard_records);
+        EXPECT_EQ(resumed, 0u) << "a chunk-aligned step rescanned its stem";
+      }
+      expect_clean(out);
+    }
+
+    // Kill between slices: the run is dropped after two slices and a new
+    // run_worker call resumes the stem.
+    spec.output = stem(std::string("killed.") + format_name(format));
+    {
+      ShardRun run(spec);
+      (void)run.step(6);
+      EXPECT_EQ(run.step(6).shard_records, 12u);
+    }
+    spec.resume = true;
+    const auto resumed = run_worker(spec);
+    EXPECT_EQ(resumed.resumed_records, 12u);
+    expect_clean(resumed);
+  }
+}
+
+TEST_F(ShardedMergeTest, AFailedStepRetiresTheShardRun) {
+  WorkerSpec spec;
+  spec.grid = testbed::ablation_grid_spec();
+  spec.chunk_records = 2;
+  spec.output = (dir_ / "gone" / "shard0").string();
+  fs::create_directories(dir_ / "gone");
+  ShardRun run(spec);
+  (void)run.step(2);
+  // The next checkpoint cannot be written: the step throws, and the run
+  // refuses to step on from a reduction its files no longer match.
+  fs::remove_all(dir_ / "gone");
+  EXPECT_THROW((void)run.step(2), std::runtime_error);
+  EXPECT_THROW((void)run.step(2), std::logic_error);
 }
 
 TEST_F(ShardedMergeTest, ResumeRefusesADifferentGrid) {

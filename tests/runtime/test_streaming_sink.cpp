@@ -274,5 +274,30 @@ TEST_F(StreamingSinkTest, ScanStopsAtCorruptOrMisorderedLines) {
   EXPECT_EQ(empty.valid_bytes, 0u);
 }
 
+TEST_F(StreamingSinkTest, FailedCheckpointWriteKeepsThePreviousCheckpoint) {
+  std::error_code ec;
+  if (!fs::exists("/dev/full", ec))
+    GTEST_SKIP() << "no /dev/full to simulate a full disk";
+  const auto grid = small_grid();
+  const core::XrPerformanceModel model;
+  SinkOptions options;
+  options.output_stem = stem("sweep");
+  options.chunk_records = 2;
+  const ShardIdentity id{0, 1, ShardStrategy::kRange, grid.size()};
+
+  StreamingSink sink(options, id);
+  for (std::size_t i = 0; i < 2; ++i)
+    sink.append(i, model.evaluate(grid.at(i)));
+  const std::string good = read_file(sink.partial_path());
+  ASSERT_FALSE(good.empty());
+
+  // Every write to the checkpoint's temp file now fails with ENOSPC.
+  fs::create_symlink("/dev/full", sink.partial_path() + ".tmp");
+  sink.append(2, model.evaluate(grid.at(2)));
+  ASSERT_THROW(sink.flush(), std::runtime_error);
+  EXPECT_FALSE(fs::is_symlink(sink.partial_path()));
+  EXPECT_EQ(read_file(sink.partial_path()), good);
+}
+
 }  // namespace
 }  // namespace xr::runtime::shard

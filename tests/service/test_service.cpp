@@ -20,6 +20,7 @@
 
 #include "core/failpoint.h"
 #include "core/framework.h"
+#include "obs/registry.h"
 #include "runtime/service/worker_loop.h"
 #include "runtime/sweep_request.h"
 
@@ -111,8 +112,14 @@ WorkerLoopOptions worker_options(const std::string& name) {
   return options;
 }
 
+/// Current value of a process-wide obs counter (0 in XR_OBS_DISABLED
+/// builds).
+std::uint64_t counter(const char* name) { return obs::Counter(name).value(); }
+
 TEST_F(SweepServiceTest, ElasticRunMatchesMonolithicBitwise) {
-  const SweepRequest request = demo_request();
+  SweepRequest request = demo_request();
+  // Two-record chunks make every 4-record lease two slices.
+  request.execution.chunk_records = 2;
   InMemoryTransport transport;
   CoordinatorOptions options;
   options.shards = 3;
@@ -120,6 +127,7 @@ TEST_F(SweepServiceTest, ElasticRunMatchesMonolithicBitwise) {
   options.poll_ms = 2;
   options.lease_timeout_ms = 5000;
 
+  const std::uint64_t resumes0 = counter("shard.worker.resume_events");
   std::vector<std::thread> pool;
   std::vector<WorkerLoopOutcome> outcomes(2);
   for (std::size_t i = 0; i < 2; ++i)
@@ -130,6 +138,9 @@ TEST_F(SweepServiceTest, ElasticRunMatchesMonolithicBitwise) {
   const CoordinatorResult result =
       run_coordinator(transport, request, options);
   for (auto& t : pool) t.join();
+  // Each lease opens its shard once and steps it: no slice rescans the
+  // stream the lease itself wrote.
+  EXPECT_EQ(counter("shard.worker.resume_events"), resumes0);
 
   const shard::MergedSummary reference = run_request(request);
   std::string why;
@@ -139,12 +150,48 @@ TEST_F(SweepServiceTest, ElasticRunMatchesMonolithicBitwise) {
   EXPECT_EQ(result.workers_seen, 2u);
   EXPECT_EQ(result.leases_reassigned, 0u);
   EXPECT_FALSE(result.plan.has_value());
-  std::size_t completed = 0;
+  std::size_t completed = 0, slices = 0;
   for (const auto& out : outcomes) {
     EXPECT_TRUE(out.shutdown);
     completed += out.leases_completed;
+    slices += out.slices;
   }
   EXPECT_EQ(completed, 3u);
+  EXPECT_EQ(slices, 6u);
+}
+
+TEST_F(SweepServiceTest, InLeaseHeartbeatsArePacedByHeartbeatMs) {
+  if (!obs::kEnabled)
+    GTEST_SKIP() << "telemetry stubbed out (XR_OBS_DISABLED)";
+  SweepRequest request = demo_request();
+  request.execution.chunk_records = 1;  // 12 one-record slices
+  InMemoryTransport transport;
+  CoordinatorOptions options;
+  options.shards = 3;
+  options.shard_dir = (dir_ / "shards").string();
+  options.poll_ms = 2;
+  options.lease_timeout_ms = 20000;
+  WorkerLoopOptions worker = worker_options("w0");
+  worker.slice_records = 1;
+  worker.heartbeat_ms = 2000;  // far longer than any slice here
+
+  const std::uint64_t heartbeats0 = counter("service.worker.heartbeats_sent");
+  const std::uint64_t slices0 = counter("service.worker.slices");
+  WorkerLoopOutcome out;
+  std::thread thread([&] { out = run_service_worker(transport, worker); });
+  const CoordinatorResult result =
+      run_coordinator(transport, request, options);
+  thread.join();
+
+  EXPECT_EQ(out.slices, 12u);
+  EXPECT_EQ(counter("service.worker.slices") - slices0, 12u);
+  EXPECT_LT(counter("service.worker.heartbeats_sent") - heartbeats0, 12u)
+      << "the worker heartbeats after every slice instead of every "
+         "heartbeat_ms";
+  std::string why;
+  EXPECT_TRUE(
+      shard::summaries_equivalent(result.summary, run_request(request), &why))
+      << why;
 }
 
 TEST_F(SweepServiceTest, WorkerCrashAndLateJoinerKeepOutputBitwise) {
@@ -199,6 +246,45 @@ TEST_F(SweepServiceTest, WorkerCrashAndLateJoinerKeepOutputBitwise) {
   EXPECT_TRUE(saw_attempt1) << "no reassigned attempt stem was written";
 }
 
+TEST_F(SweepServiceTest, ExpiredButLiveWorkerStillGetsTheShutdown) {
+  // w0 finishes its first shard, then stalls past the lease timeout: the
+  // coordinator presumes it dead and w1 drains every shard. w0 is idle
+  // and alive when the sweep ends, and must be told to exit rather than
+  // wait out its idle timeout.
+  const SweepRequest request = demo_request();
+  InMemoryTransport transport;
+  CoordinatorOptions options;
+  options.shards = 3;
+  options.shard_dir = (dir_ / "shards").string();
+  options.poll_ms = 2;
+  options.lease_timeout_ms = 200;
+  WorkerLoopOptions straggler = worker_options("w0");
+  straggler.slice_delay_ms = 600;
+  straggler.idle_timeout_ms = 3000;
+
+  WorkerLoopOutcome slow, fast;
+  std::thread t0([&] { slow = run_service_worker(transport, straggler); });
+  std::thread t1([&] {
+    // Joins once w0 surely holds a lease.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    fast = run_service_worker(transport, worker_options("w1"));
+  });
+  const CoordinatorResult result =
+      run_coordinator(transport, request, options);
+  t0.join();
+  t1.join();
+
+  EXPECT_GE(result.leases_reassigned, 1u);
+  EXPECT_TRUE(fast.shutdown);
+  EXPECT_TRUE(slow.shutdown) << "the presumed-dead worker was never told "
+                                "the sweep is over";
+  EXPECT_FALSE(slow.idle_timeout);
+  std::string why;
+  EXPECT_TRUE(
+      shard::summaries_equivalent(result.summary, run_request(request), &why))
+      << why;
+}
+
 TEST_F(SweepServiceTest, SingleWorkerDrainsAllShards) {
   const SweepRequest request = demo_request();
   InMemoryTransport transport;
@@ -222,32 +308,48 @@ TEST_F(SweepServiceTest, SingleWorkerDrainsAllShards) {
       << why;
 }
 
+/// Loses every snapshot message on the wire.
+class SnapshotDroppingTransport : public InMemoryTransport {
+ public:
+  void send(const std::string& to, const Message& msg) override {
+    if (msg.kind != MessageKind::kSnapshot) InMemoryTransport::send(to, msg);
+  }
+};
+
 TEST_F(SweepServiceTest, AggregatedSnapshotCarriesWorkerLabels) {
   if (!obs::kEnabled)
     GTEST_SKIP() << "telemetry stubbed out (XR_OBS_DISABLED)";
   const SweepRequest request = demo_request();
-  InMemoryTransport transport;
-  CoordinatorOptions options;
-  options.shards = 2;
-  options.shard_dir = (dir_ / "shards").string();
-  options.poll_ms = 2;
+  InMemoryTransport reliable;
+  // The deregister's copy of the snapshot must stand in for a lost one.
+  SnapshotDroppingTransport lossy;
+  for (InMemoryTransport* transport :
+       {&reliable, static_cast<InMemoryTransport*>(&lossy)}) {
+    SCOPED_TRACE(transport == &lossy ? "snapshot message lost" : "reliable");
+    CoordinatorOptions options;
+    options.shards = 2;
+    options.shard_dir =
+        (dir_ / (transport == &lossy ? "lossy" : "reliable")).string();
+    options.poll_ms = 2;
 
-  std::thread worker([&] {
-    (void)run_service_worker(transport, worker_options("w0"));
-  });
-  const CoordinatorResult result =
-      run_coordinator(transport, request, options);
-  worker.join();
+    std::thread worker([&] {
+      (void)run_service_worker(*transport, worker_options("w0"));
+    });
+    const CoordinatorResult result =
+        run_coordinator(*transport, request, options);
+    worker.join();
 
-  bool saw_labeled = false, saw_local = false;
-  for (const auto& [name, value] : result.metrics.metrics.counters) {
-    if (name.find("{worker=\"w0\"}") != std::string::npos) saw_labeled = true;
-    if (name == "service.coordinator.leases_completed") saw_local = true;
+    bool saw_labeled = false, saw_local = false;
+    for (const auto& [name, value] : result.metrics.metrics.counters) {
+      if (name.find("{worker=\"w0\"}") != std::string::npos)
+        saw_labeled = true;
+      if (name == "service.coordinator.leases_completed") saw_local = true;
+    }
+    EXPECT_TRUE(saw_labeled)
+        << "aggregated snapshot carries no worker-labeled metrics";
+    EXPECT_TRUE(saw_local)
+        << "aggregated snapshot lost the coordinator's own metrics";
   }
-  EXPECT_TRUE(saw_labeled)
-      << "aggregated snapshot carries no worker-labeled metrics";
-  EXPECT_TRUE(saw_local)
-      << "aggregated snapshot lost the coordinator's own metrics";
 }
 
 TEST_F(SweepServiceTest, AdaptiveRequestsAreRefusedByName) {
