@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 #include "core/framework.h"
 
@@ -57,6 +58,10 @@ struct InvalidCase {
   const char* name;
   std::function<void(ScenarioConfig&)> mutate;
 };
+
+// Print a case by its name. gtest's default dump of the raw struct bytes
+// holds pointers, so the ctest names it yields would change every build.
+void PrintTo(const InvalidCase& c, std::ostream* os) { *os << c.name; }
 
 class ValidateRejects : public ::testing::TestWithParam<InvalidCase> {};
 
@@ -137,10 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
                     [](ScenarioConfig& s) {
                       s.sensors.clear();
                       s.updates_per_frame = 2;
-                    }}),
-    [](const ::testing::TestParamInfo<InvalidCase>& info) {
-      return info.param.name;
-    });
+                    }}));
 
 TEST(PipelineValidate, LocalScenarioHasNoEdges) {
   const ScenarioConfig s = make_local_scenario();
