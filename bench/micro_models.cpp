@@ -1,15 +1,14 @@
 // google-benchmark micro-benchmarks: cost of evaluating the analytical
-// models and throughput of the supporting machinery (DES kernel, regression
-// fitting, queue simulation). These quantify the paper's practical claim
-// that the analytical framework replaces hours of testbed measurement with
-// microsecond-scale evaluation.
+// models and throughput of the supporting machinery (ground-truth frames,
+// regression fitting, queue simulation). These quantify the paper's
+// practical claim that the analytical framework replaces hours of testbed
+// measurement with microsecond-scale evaluation.
 #include <benchmark/benchmark.h>
 
 #include "core/framework.h"
 #include "math/regression.h"
 #include "math/rng.h"
 #include "queueing/simqueue.h"
-#include "sim/simulator.h"
 #include "testbed/experiments.h"
 #include "xrsim/ground_truth.h"
 
@@ -57,18 +56,6 @@ void BM_GroundTruthFrame(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_GroundTruthFrame)->Arg(32)->Arg(256);
-
-void BM_DesScheduleDispatch(benchmark::State& state) {
-  for (auto _ : state) {
-    xr::sim::Simulator des(1);
-    const std::size_t n = std::size_t(state.range(0));
-    for (std::size_t i = 0; i < n; ++i)
-      des.schedule_at(double(i), [](xr::sim::Simulator&) {});
-    benchmark::DoNotOptimize(des.run());
-  }
-  state.SetItemsProcessed(std::int64_t(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_DesScheduleDispatch)->Arg(1024)->Arg(16384);
 
 void BM_RegressionFit(benchmark::State& state) {
   xr::math::Rng rng(99);

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Zero-perturbation gate: telemetry must never change a computed value.
+# Zero-perturbation gate: neither telemetry nor the fault-injection hooks
+# may change a computed value.
 #
-# Builds a second tools-only tree with -DXR_OBS_DISABLED=ON (the registry,
-# spans, and snapshots compile to no-op stubs — no atomics on the off
-# path), runs the same workloads in both builds, and diffs every artifact
-# that carries results:
+# Builds a second tools-only tree with both stub macros set:
+# -DXR_OBS_DISABLED=ON (the registry, spans, and snapshots compile to
+# no-op stubs — no atomics on the off path) and -DXR_FAULT_DISABLED=ON
+# (every failpoint compiles to an inline `return nullopt`). It runs the
+# same workloads in both builds, with no fault schedule loaded, and diffs
+# every artifact that carries results:
 #
 #   1. a 2-shard ablation sweep in BOTH record formats: the .jsonl and
 #      .xrb record streams must be byte-identical, and the merged
@@ -16,7 +19,9 @@
 #   3. an elastic-service run (sweep_coordinator + one sweep_worker
 #      --serve, no churn, so the stems are the deterministic
 #      shard<k>.a0): the record streams must be byte-identical and the
-#      merged summaries bitwise equivalent.
+#      merged summaries bitwise equivalent. Every failpoint sits on this
+#      path (transport, sink flush, worker slice, coordinator fold), so
+#      this is the fault stubs' main check.
 #
 # Finally the obs-on build's --metrics-out snapshots are grepped for the
 # shard-worker and serving-tier counters, so the gate also fails if the
@@ -24,15 +29,16 @@
 #
 #   usage: scripts/obs_zero_perturbation.sh [BUILD_DIR]
 #
-# BUILD_DIR defaults to ./build (the telemetry-on build). The stub build
-# is cached in BUILD_DIR/obs-off and configured with the same build type,
-# so the two binaries differ only in the XR_OBS_DISABLED macro.
+# BUILD_DIR defaults to ./build (telemetry and failpoints on). The stub
+# build is cached in BUILD_DIR/stubs-off and configured with the same build
+# type, so the two binaries differ only in the two stub macros.
 set -euo pipefail
 
 BUILD_DIR="${1:-$(dirname "$0")/../build}"
 BUILD_DIR="$(cd "$BUILD_DIR" && pwd)"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
-OFF_DIR="$BUILD_DIR/obs-off"
+OFF_DIR="$BUILD_DIR/stubs-off"
+unset XR_FAULT_SCHEDULE  # the default build must inject nothing either.
 
 for bin in sweep_worker sweep_merge plan_index sweep_plan sweep_coordinator; do
   if [[ ! -x "$BUILD_DIR/$bin" ]]; then
@@ -45,10 +51,10 @@ BUILD_TYPE="$(grep -m1 '^CMAKE_BUILD_TYPE:' "$BUILD_DIR/CMakeCache.txt" \
               | cut -d= -f2)"
 BUILD_TYPE="${BUILD_TYPE:-Release}"
 
-echo "== configure + build the XR_OBS_DISABLED stub tree ($BUILD_TYPE) =="
+echo "== configure + build the XR_OBS_DISABLED + XR_FAULT_DISABLED stub tree ($BUILD_TYPE) =="
 cmake -S "$SRC_DIR" -B "$OFF_DIR" \
       -DCMAKE_BUILD_TYPE="$BUILD_TYPE" \
-      -DXR_OBS_DISABLED=ON \
+      -DXR_OBS_DISABLED=ON -DXR_FAULT_DISABLED=ON \
       -DXR_BUILD_TESTS=OFF -DXR_BUILD_BENCH=OFF -DXR_BUILD_EXAMPLES=OFF \
       >/dev/null
 cmake --build "$OFF_DIR" \
@@ -98,7 +104,7 @@ run_index() {  # $1 = bindir, $2 = outdir
 }
 
 echo
-echo "== workload A: 2-shard ablation sweep, obs on vs obs off =="
+echo "== workload A: 2-shard ablation sweep, default vs stubs =="
 run_sweep "$BUILD_DIR" "$OUT/on"
 run_sweep "$OFF_DIR" "$OUT/off"
 for f in s0.jsonl s1.jsonl b0.xrb b1.xrb; do
@@ -133,7 +139,7 @@ run_service() {  # $1 = bindir, $2 = outdir
   wait "$wpid"
 }
 
-echo "== workload B: plan-index build + 3-tier serves, obs on vs obs off =="
+echo "== workload B: plan-index build + 3-tier serves, default vs stubs =="
 run_index "$BUILD_DIR" "$OUT/on"
 run_index "$OFF_DIR" "$OUT/off"
 for f in index.spec.json index.json serve_exact.txt serve_snap.txt \
@@ -142,7 +148,7 @@ for f in index.spec.json index.json serve_exact.txt serve_snap.txt \
     || { echo "obs_zero_perturbation.sh: $f differs between builds" >&2; exit 1; }
 done
 
-echo "== workload C: elastic sweep service, obs on vs obs off =="
+echo "== workload C: elastic sweep service, default vs stubs =="
 run_service "$BUILD_DIR" "$OUT/on"
 run_service "$OFF_DIR" "$OUT/off"
 for f in svc/shards/shard0.a0.jsonl svc/shards/shard1.a0.jsonl; do
@@ -175,4 +181,4 @@ grep -q '"counters":{}' "$OUT/off/s0.metrics.json"
 grep -q '"counters":{}' "$OUT/off/svc/service.metrics.json"
 
 echo
-echo "obs_zero_perturbation.sh: OK (all outputs bitwise identical, obs on == obs off)"
+echo "obs_zero_perturbation.sh: OK (all outputs bitwise identical, default build == obs + fault stubs)"

@@ -4,7 +4,7 @@
 # layer knows across a real coordinator + worker run, and the merged
 # output must STILL be byte-identical to the monolithic reference.
 #
-# Three legs:
+# Two legs:
 #   * chaos leg      — 2 workers + coordinator, each process under its own
 #                      schedule covering all 5 fault kinds: io_error
 #                      (sink flush, coordinator fold, transport poll),
@@ -18,29 +18,25 @@
 #                      quarantined (--allow-partial): the coordinator must
 #                      emit the "xr.service.partial.v1" document naming it
 #                      while the completed shards still merge.
-#   * stub leg       — a cached -DXR_FAULT_DISABLED=ON tools build runs
-#                      the no-churn service next to the default build (no
-#                      schedule loaded): record streams byte-identical,
-#                      proving the failpoints themselves perturb nothing.
+#
+# That the -DXR_FAULT_DISABLED=ON stubs perturb nothing is checked by
+# scripts/obs_zero_perturbation.sh, whose stub tree sets both stub macros
+# and runs the same no-churn service next to the default build.
 #
 #   usage: scripts/sweep_service_chaos.sh [BUILD_DIR]
 #
-# BUILD_DIR defaults to ./build. The stub build is cached in
-# BUILD_DIR/fault-off with the same build type. Work dirs live on /dev/shm
-# when available (checkpoint rewrites vs synchronous-discard TRIM latency).
+# BUILD_DIR defaults to ./build. Work dirs live on /dev/shm when available
+# (checkpoint rewrites vs synchronous-discard TRIM latency).
 set -euo pipefail
 
 BUILD_DIR="${1:-$(dirname "$0")/../build}"
 BUILD_DIR="$(cd "$BUILD_DIR" && pwd)"
-SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
-OFF_DIR="$BUILD_DIR/fault-off"
 SHARDS=4
 
 PLAN="$BUILD_DIR/sweep_plan"
 WORKER="$BUILD_DIR/sweep_worker"
 COORD="$BUILD_DIR/sweep_coordinator"
-MERGE="$BUILD_DIR/sweep_merge"
-for bin in "$PLAN" "$WORKER" "$COORD" "$MERGE"; do
+for bin in "$PLAN" "$WORKER" "$COORD"; do
   if [[ ! -x "$bin" ]]; then
     echo "sweep_service_chaos.sh: build $(basename "$bin") first (looked in $BUILD_DIR)" >&2
     exit 2
@@ -172,43 +168,5 @@ else
   grep -q '"schema":"xr.service.partial.v1"' "$OUT/partial.json"
 fi
 
-# --- leg 3: XR_FAULT_DISABLED stubs perturb nothing ---------------------
 echo
-echo "== stub leg: default build vs -DXR_FAULT_DISABLED=ON, no schedule =="
-BUILD_TYPE="$(grep -m1 '^CMAKE_BUILD_TYPE:' "$BUILD_DIR/CMakeCache.txt" \
-              | cut -d= -f2)"
-BUILD_TYPE="${BUILD_TYPE:-Release}"
-cmake -S "$SRC_DIR" -B "$OFF_DIR" \
-      -DCMAKE_BUILD_TYPE="$BUILD_TYPE" \
-      -DXR_FAULT_DISABLED=ON \
-      -DXR_BUILD_TESTS=OFF -DXR_BUILD_BENCH=OFF -DXR_BUILD_EXAMPLES=OFF \
-      >/dev/null
-cmake --build "$OFF_DIR" \
-      --target sweep_plan sweep_worker sweep_coordinator sweep_merge \
-      -j "$(nproc)" >/dev/null
-
-run_quiet_service() {  # $1 = bindir, $2 = outdir
-  local bin="$1" out="$2"
-  mkdir -p "$out"
-  "$bin/sweep_worker" --serve --mail "$out/mail" --name w0 \
-                      --slice-records 16 --heartbeat-ms 50 --poll-ms 5 \
-                      --idle-timeout-ms 60000 >/dev/null &
-  local wpid=$!
-  "$bin/sweep_coordinator" --request "$OUT/request.json" --mail "$out/mail" \
-                           --shard-dir "$out/shards" --shards 2 \
-                           --chunk-records 16 --lease-timeout-ms 20000 \
-                           --out "$out/summary.json" >/dev/null
-  wait "$wpid"
-}
-run_quiet_service "$BUILD_DIR" "$OUT/on"
-run_quiet_service "$OFF_DIR" "$OUT/off"
-for f in shards/shard0.a0.jsonl shards/shard1.a0.jsonl; do
-  cmp "$OUT/on/$f" "$OUT/off/$f" \
-    || { echo "sweep_service_chaos.sh: $f differs between builds" >&2; exit 1; }
-done
-"$MERGE" --check "$OUT/off/summary.json" \
-         "$OUT/on/shards/shard0.a0.partial.json" \
-         "$OUT/on/shards/shard1.a0.partial.json" >/dev/null
-
-echo
-echo "sweep_service_chaos.sh: OK (5 fault kinds -> bitwise summary+plan; quarantine -> xr.service.partial.v1; fault stubs -> zero perturbation)"
+echo "sweep_service_chaos.sh: OK (5 fault kinds -> bitwise summary+plan; quarantine -> xr.service.partial.v1)"

@@ -73,12 +73,4 @@ QueueSimResult simulate_mm1(double lambda, double mu, std::size_t jobs,
   return simulate_fifo(inter, service);
 }
 
-QueueSimResult simulate_md1(double lambda, double service_time,
-                            std::size_t jobs, math::Rng& rng) {
-  if (jobs == 0) throw std::invalid_argument("simulate_md1: zero jobs");
-  std::vector<double> inter(jobs), service(jobs, service_time);
-  for (std::size_t i = 0; i < jobs; ++i) inter[i] = rng.exponential(lambda);
-  return simulate_fifo(inter, service);
-}
-
 }  // namespace xr::queueing

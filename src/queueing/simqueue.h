@@ -1,7 +1,7 @@
 // Empirical single-server FIFO queue simulation (Lindley recursion).
 //
-// Cross-validates the closed-form M/M/1 / M/G/1 results: generate arrival
-// and service sequences, push them through the exact waiting-time recursion,
+// Cross-validates the closed-form M/M/1 results: generate arrival and
+// service sequences, push them through the exact waiting-time recursion,
 // and compare empirical means with theory. Also measures empirical
 // Age-of-Information for the AoI validation (Fig. 4e).
 #pragma once
@@ -45,10 +45,6 @@ struct QueueSimResult {
 
 /// Simulate an M/M/1 queue for `jobs` jobs with the given rates and RNG.
 [[nodiscard]] QueueSimResult simulate_mm1(double lambda, double mu,
-                                          std::size_t jobs, math::Rng& rng);
-
-/// Simulate an M/D/1 queue (deterministic service) for `jobs` jobs.
-[[nodiscard]] QueueSimResult simulate_md1(double lambda, double service_time,
                                           std::size_t jobs, math::Rng& rng);
 
 }  // namespace xr::queueing

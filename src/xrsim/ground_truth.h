@@ -2,9 +2,8 @@
 //
 // The paper validates its analytical models against measurements from a
 // physical testbed (§VII). This simulator plays that testbed's role: it
-// executes the Fig. 1 pipeline frame by frame on the DES kernel with
-// stochastic effects and *hidden systematic behaviours the analytical model
-// does not know about*:
+// executes the Fig. 1 pipeline frame by frame with stochastic effects and
+// *hidden systematic behaviours the analytical model does not know about*:
 //
 //   * cache pressure — compute cost grows slightly super-linearly with
 //     frame size (the analytical model is linear in s);
@@ -102,7 +101,9 @@ class GroundTruthSimulator {
   explicit GroundTruthSimulator(GroundTruthConfig config = GroundTruthConfig{});
 
   /// Simulate `config.frames` frames of the scenario and return per-frame
-  /// measurements. Validates the scenario. `frames_override`, when
+  /// measurements. Validates the scenario, and throws
+  /// std::invalid_argument when the frame rate is so low that a frame's
+  /// start time overflows. `frames_override`, when
   /// engaged, replaces the configured frame count for this run only, so
   /// sweep runners can trade fidelity for wall time without rebuilding the
   /// simulator; std::nullopt preserves the configured behaviour. The

@@ -1,9 +1,9 @@
 #include "xrsim/sensors.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
-#include "sim/simulator.h"
 #include "wireless/propagation.h"
 
 namespace xr::xrsim {
@@ -15,10 +15,13 @@ std::vector<AoiObservation> simulate_sensor_aoi(
     throw std::invalid_argument("simulate_sensor_aoi: need >= 1 cycle");
   if (request_period_ms <= 0)
     throw std::invalid_argument("simulate_sensor_aoi: period must be > 0");
+  if (!(sensor.generation_hz > 0))
+    throw std::invalid_argument(
+        "simulate_sensor_aoi: sensor frequency must be > 0");
 
-  sim::Simulator des(config.seed);
-  math::Rng jitter = des.rng_stream("sensor-jitter");
-  math::Rng queue = des.rng_stream("buffer-sojourn");
+  const math::Rng root(config.seed);
+  math::Rng jitter = root.stream("sensor-jitter");
+  math::Rng queue = root.stream("buffer-sojourn");
 
   const double period_ms = 1000.0 / sensor.generation_hz;
   const double prop_ms = wireless::propagation_delay_ms(sensor.distance_m);
@@ -28,7 +31,6 @@ std::vector<AoiObservation> simulate_sensor_aoi(
     throw std::invalid_argument("simulate_sensor_aoi: unstable buffer");
 
   std::vector<AoiObservation> observations(static_cast<std::size_t>(cycles));
-  std::vector<double> cycle_lengths(static_cast<std::size_t>(cycles));
 
   // Sensor process: generation cycle n completes at ~n * period (the first
   // cycle starts at t = 0 and needs one full generation interval).
@@ -38,25 +40,20 @@ std::vector<AoiObservation> simulate_sensor_aoi(
     if (config.generation_jitter_fraction > 0)
       cycle_len *= 1.0 + jitter.normal(0.0, config.generation_jitter_fraction);
     if (cycle_len < 1e-6) cycle_len = 1e-6;
-    cycle_lengths[std::size_t(n - 1)] = cycle_len;
     completion += cycle_len;
-    const double generated = completion;
-    const int idx = n - 1;
-    des.schedule_at(generated, [&, idx, generated](sim::Simulator&) {
-      // The packet leaves the sensor, crosses the air, and queues in the
-      // input buffer; M/M/1 FCFS sojourn is Exp(µ − λ).
-      const double sojourn = queue.exponential(mu - lambda);
-      observations[std::size_t(idx)].generated_time_ms = generated;
-      observations[std::size_t(idx)].delivered_time_ms =
-          generated + prop_ms + sojourn;
-    });
-  }
-  des.run();
+    if (!std::isfinite(completion))
+      throw std::invalid_argument(
+          "simulate_sensor_aoi: sensor frequency too low, generation times "
+          "overflow");
 
-  for (int n = 1; n <= cycles; ++n) {
+    // The packet leaves the sensor, crosses the air, and queues in the
+    // input buffer; M/M/1 FCFS sojourn is Exp(µ − λ).
+    const double sojourn = queue.exponential(mu - lambda);
     auto& obs = observations[std::size_t(n - 1)];
     obs.cycle = n;
     obs.request_time_ms = double(n - 1) * request_period_ms;
+    obs.generated_time_ms = completion;
+    obs.delivered_time_ms = completion + prop_ms + sojourn;
     // Age of update n when the application consumes it: the time elapsed
     // since the request it answers was issued, accounting for delivery.
     // As in the analytical model, information can never be fresher than
@@ -64,7 +61,7 @@ std::vector<AoiObservation> simulate_sensor_aoi(
     // for sensors faster than the request rate.
     const double delivery = obs.delivered_time_ms - obs.generated_time_ms;
     obs.aoi_ms = std::max(obs.delivered_time_ms - obs.request_time_ms,
-                          cycle_lengths[std::size_t(n - 1)] + delivery);
+                          cycle_len + delivery);
   }
   return observations;
 }

@@ -1,10 +1,10 @@
 // External-sensor processes and empirical Age-of-Information measurement.
 //
-// Drives sensor generation cycles through the DES kernel: each sensor emits
-// an information packet every 1/f_t (with optional phase jitter), the packet
-// crosses the wireless medium (propagation delay) and the XR device's input
-// buffer (sampled M/M/1 sojourn), and the XR application consumes the n-th
-// packet at its n-th request instant. The observed ages form the empirical
+// Simulates sensor generation cycles: each sensor emits an information
+// packet every 1/f_t (with optional phase jitter), the packet crosses the
+// wireless medium (propagation delay) and the XR device's input buffer
+// (sampled M/M/1 sojourn), and the XR application consumes the n-th packet
+// at its n-th request instant. The observed ages form the empirical
 // staircases the paper plots as "GT" in Figs. 4(e)/(f).
 #pragma once
 
@@ -33,7 +33,10 @@ struct SensorSimConfig {
 /// Simulate `cycles` update cycles of one sensor against the XR request
 /// schedule (one request per `request_period_ms`, first at t = 0).
 /// Buffer waits are drawn from the exact M/M/1 sojourn distribution
-/// Exp(µ − λ) of the external-information class.
+/// Exp(µ − λ) of the external-information class. Throws
+/// std::invalid_argument for cycles < 1, a request period <= 0, a sensor
+/// frequency <= 0 or so low that generation times overflow, and an
+/// unstable buffer (λ >= µ).
 [[nodiscard]] std::vector<AoiObservation> simulate_sensor_aoi(
     const core::SensorConfig& sensor, const core::BufferConfig& buffer,
     double request_period_ms, int cycles, const SensorSimConfig& config);

@@ -1,6 +1,6 @@
 // Cross-module integration tests: the full workflow the README describes —
 // generate data, calibrate regressions, inject the fitted models into the
-// analytical framework, and validate against the DES ground truth.
+// analytical framework, and validate against the simulated ground truth.
 #include <gtest/gtest.h>
 
 #include "core/framework.h"
@@ -84,7 +84,7 @@ TEST(Integration, RefittedModelsPlugIntoFramework) {
 }
 
 TEST(Integration, AnalyticAoiTracksDesSensors) {
-  // AoI Eqs. (22)-(24) vs the event-driven sensor simulation, over several
+  // AoI Eqs. (22)-(24) vs the sensor simulation, over several
   // sensor rates and request periods.
   const core::AoiModel model;
   core::BufferConfig buffer;

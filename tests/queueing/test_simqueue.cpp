@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "queueing/mg1.h"
 #include "queueing/mm1.h"
 
 namespace xr::queueing {
@@ -53,19 +52,9 @@ TEST(SimulateMm1, EmpiricalAoiMatchesClosedForm) {
               0.05 * theory.average_aoi());
 }
 
-TEST(SimulateMd1, MatchesPollaczekKhinchine) {
-  math::Rng rng(79);
-  const double lambda = 0.5, service = 1.0;
-  const auto r = simulate_md1(lambda, service, 200000, rng);
-  const MG1 theory = MG1::md1(lambda, service);
-  EXPECT_NEAR(r.mean_wait, theory.mean_waiting_time(),
-              0.05 * theory.mean_waiting_time());
-}
-
 TEST(SimulateMm1, ZeroJobsThrows) {
   math::Rng rng(80);
   EXPECT_THROW((void)simulate_mm1(1, 2, 0, rng), std::invalid_argument);
-  EXPECT_THROW((void)simulate_md1(1, 0.2, 0, rng), std::invalid_argument);
 }
 
 TEST(SimulateMm1, HigherLoadMeansLongerWaits) {

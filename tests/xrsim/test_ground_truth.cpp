@@ -205,6 +205,10 @@ TEST(GroundTruth, ValidatesScenario) {
   auto s = core::make_local_scenario();
   s.client.cpu_ghz = 0;
   EXPECT_THROW((void)sim.run(s), std::invalid_argument);
+  // A positive frame rate whose frame interval overflows to inf.
+  auto slow = core::make_local_scenario();
+  slow.frame.fps = 1e-310;
+  EXPECT_THROW((void)sim.run(slow), std::invalid_argument);
 }
 
 }  // namespace

@@ -91,6 +91,13 @@ TEST(SensorSim, Validation) {
   EXPECT_THROW((void)simulate_sensor_aoi(sensor_at(100), light_buffer(),
                                          0.0, 5, cfg),
                std::invalid_argument);
+  // Frequencies that are not positive, or so low that the generation
+  // times overflow, are refused rather than simulated.
+  for (double hz : {0.0, -5.0, 1e-320})
+    EXPECT_THROW(
+        (void)simulate_sensor_aoi(sensor_at(hz), light_buffer(), 5.0, 5, cfg),
+        std::invalid_argument)
+        << hz;
   core::BufferConfig unstable;
   unstable.external_arrival_per_ms = 2.0;
   unstable.service_rate_per_ms = 1.0;
