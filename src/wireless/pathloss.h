@@ -4,8 +4,8 @@
 // fading effects ... which can be incorporated into the model according to
 // system requirements" (§IV). This module supplies those optional effects:
 // free-space / log-distance / two-ray path loss, lognormal shadowing, and
-// Rayleigh/Rician small-scale fading, which the ground-truth simulator and
-// the extended examples use to perturb link throughput.
+// Rayleigh/Rician small-scale fading. No model or simulator calls it yet;
+// a caller would turn its SNR into the throughput input of Eq. 16.
 #pragma once
 
 #include "math/rng.h"
