@@ -17,8 +17,7 @@ namespace xr::bench {
 
 /// Where the benches drop their machine-readable artifacts: $XR_BENCH_OUT
 /// when set, else bench/out/ under the working directory (gitignored).
-/// Created on first use. scripts/bench_compare.py diffs two such
-/// directories to track the perf trajectory across PRs.
+/// Created on first use.
 inline std::string bench_out_dir() {
   const char* env = std::getenv("XR_BENCH_OUT");
   const std::string dir = (env && *env) ? env : "bench/out";
@@ -64,8 +63,7 @@ inline void print_comparison(const char* figure,
 }
 
 /// Record one bench gate number on the obs registry (a gauge named after
-/// the legacy flat JSON field, so scripts/bench_compare.py columns carry
-/// across the format change). Booleans go in as 0/1.
+/// the legacy flat JSON field). Booleans go in as 0/1.
 inline void bench_number(const std::string& field, double value) {
   obs::Gauge(field).set(value);
 }

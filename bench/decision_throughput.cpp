@@ -24,9 +24,8 @@
 //
 // Emits BENCH_decision_throughput.json as an obs snapshot
 // ("xr.obs.snapshot.v1"): the gate numbers are recorded as gauges (with
-// "parallel_candidates_per_sec" aliased to the saturated SoA rate so
-// scripts/bench_compare.py's cand/s column tracks it per PR), and the same
-// document carries the serving-path counters the run produced — the
+// "parallel_candidates_per_sec" aliased to the saturated SoA rate), and the
+// same document carries the serving-path counters the run produced — the
 // plan-index exact/snap/miss tiers and the kernel's decisions/s — so one
 // artifact answers both "how fast" and "which tier answered".
 #include <algorithm>

@@ -172,6 +172,7 @@ grep -q '"shard.merge.merges":' "$OUT/on/merge.metrics.json"
 grep -q '"serving.plan_index.exact_hits":1' "$OUT/on/serve.metrics.json" \
   || grep -q '"serving.plan_index.computed":1' "$OUT/on/serve.metrics.json"
 grep -q '"serving.kernel.decisions":' "$OUT/on/build.metrics.json"
+grep -q '"serving.kernel.scenarios":' "$OUT/on/build.metrics.json"
 grep -q '"service.coordinator.leases_completed":2' \
   "$OUT/on/svc/service.metrics.json"
 # The label's quotes are JSON-escaped inside the document string.

@@ -3,8 +3,7 @@
 // ObsDocument bundles a merged registry Snapshot with an optional span
 // Trace under the "xr.obs.snapshot.v1" schema. Everything downstream —
 // the --metrics-out flag on sweep_worker/sweep_merge/plan_index, the
-// bench snapshot files scripts/bench_compare.py diffs, tools/obs_dump —
-// speaks this one document.
+// benches' BENCH_*.json files, tools/obs_dump — speaks this one document.
 //
 // from_json is the strict inverse of to_json (unknown fields throw, the
 // same named-field rejection style as plan_index), and doubles round-trip
@@ -27,7 +26,7 @@ namespace xr::obs {
 
 struct ObsDocument {
   /// Optional provenance tag ("bench" in JSON); benches set it to their
-  /// bench name so bench_compare.py can pair snapshots across runs.
+  /// bench name.
   std::string label;
   Snapshot metrics;
   std::optional<Trace> trace;

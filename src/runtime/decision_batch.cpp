@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 
 #include "core/energy_model.h"
@@ -25,6 +26,8 @@ struct KernelMetrics {
   obs::Histogram prepare_ms{"serving.kernel.prepare_ms",
                             obs::Histogram::latency_bounds_ms()};
   obs::Gauge table_entries{"serving.kernel.table_entries"};
+  /// Scenarios the last prepare built and validated to fill its tables.
+  obs::Gauge scenarios{"serving.kernel.scenarios"};
   obs::Counter runs{"serving.kernel.runs"};
   obs::Counter decisions{"serving.kernel.decisions"};
   obs::Histogram run_ms{"serving.kernel.run_ms",
@@ -171,76 +174,158 @@ std::optional<DecisionBatchKernel> DecisionBatchKernel::prepare(
   const core::RadioPowerConfig& radio = model.energy_model().radio();
   const auto& recipes = segment_recipes();
 
+  // Each segment's axes in declaration order (the order the strides
+  // assume), also as a bit mask (a grid has at most nine axes), and its
+  // table, zeroed.
+  std::array<std::uint32_t, 11> seg_mask{};
   for (std::size_t seg = 0; seg < recipes.size(); ++seg) {
-    const SegmentRecipe& recipe = recipes[seg];
-    SegmentTable& table = kernel.tables_[seg];
-
-    // This segment's axes, in declaration order (the order the strides
-    // below assume).
     std::vector<std::size_t> dep_axes;
     for (std::size_t k = 0; k < spec.axes.size(); ++k)
-      for (const char* dep : recipe.deps)
+      for (const char* dep : recipes[seg].deps)
         if (spec.axes[k].knob == dep) {
           dep_axes.push_back(k);
+          seg_mask[seg] |= 1u << k;
           break;
         }
-
-    std::size_t entries = 1;
-    for (std::size_t a : dep_axes) entries *= kernel.radix_[a];
+    SegmentTable& table = kernel.tables_[seg];
     table.terms.resize(dep_axes.size());
     std::size_t stride = 1;
     for (std::size_t j = dep_axes.size(); j-- > 0;) {
       table.terms[j] = SegmentTable::IndexTerm{dep_axes[j], stride};
       stride *= kernel.radix_[dep_axes[j]];
     }
-    table.latency_ms.assign(entries, 0.0);
-    table.energy_mj.assign(entries, 0.0);
+    table.latency_ms.assign(stride, 0.0);
+    table.energy_mj.assign(stride, 0.0);
+  }
 
-    // Materialize one real scenario per dependency tuple — through the
-    // grid's own appliers, never a re-implementation of them — and read
-    // the segment off the same compiled model methods the scalar path
-    // calls. Non-dependency coordinates stay pinned at 0.
-    std::vector<std::size_t> coords(kernel.radix_.size(), 0);
-    for (std::size_t flat = 0; flat < entries; ++flat) {
-      std::size_t rest = flat;
-      for (std::size_t j = dep_axes.size(); j-- > 0;) {
-        coords[dep_axes[j]] = rest % kernel.radix_[dep_axes[j]];
-        rest /= kernel.radix_[dep_axes[j]];
-      }
-      const core::ScenarioConfig s = grid.at(grid.index_of(coords));
-      core::validate(s);
+  // An entry's path is its placement coordinate's, or the base's when no
+  // axis sets placement (only the placement applier writes it), so masked
+  // entries are known before anything is built and are never built: they
+  // keep the literal 0.0 the scalar breakdown carries. So does cooperation,
+  // unless the base both runs and counts it (base constants, Eq. 1).
+  std::optional<std::size_t> placement_axis;
+  std::vector<bool> point_local;
+  for (std::size_t k = 0; k < spec.axes.size(); ++k)
+    if (spec.axes[k].knob == "placement") {
+      placement_axis = k;
+      for (const std::string& name : spec.axes[k].strings)
+        point_local.push_back(core::placement_from_name(name) ==
+                              core::InferencePlacement::kLocal);
+    }
+  const core::ScenarioConfig& base = grid.base();
+  const bool base_local =
+      base.inference.placement == core::InferencePlacement::kLocal;
+  const bool cooperation_counted =
+      base.cooperation.active && base.cooperation.include_in_total;
+  const auto on_path = [&](std::size_t seg, bool local) {
+    if (seg == kCooperation && !cooperation_counted) return false;
+    switch (recipes[seg].mask) {
+      case PathMask::kLocalOnly: return local;
+      case PathMask::kRemoteOnly: return !local;
+      default: return true;
+    }
+  };
 
+  // Walk only the maximal dependency tuples, the ones no other segment's
+  // tuple strictly contains. Each segment is filled from the first walk
+  // whose tuple holds its own, at the walk entries whose coordinates
+  // outside its tuple are 0, so one built scenario serves every segment
+  // that reads it.
+  const auto holds = [](std::uint32_t outer, std::uint32_t inner) {
+    return (outer & inner) == inner;
+  };
+  std::vector<std::uint32_t> walks;
+  for (const std::uint32_t own : seg_mask) {
+    const bool maximal =
+        std::none_of(seg_mask.begin(), seg_mask.end(), [&](std::uint32_t o) {
+          return o != own && holds(o, own);
+        });
+    if (maximal && std::find(walks.begin(), walks.end(), own) == walks.end())
+      walks.push_back(own);
+  }
+  std::array<std::uint32_t, 11> walk_of{};
+  for (std::size_t seg = 0; seg < recipes.size(); ++seg)
+    walk_of[seg] = *std::find_if(walks.begin(), walks.end(),
+                                 [&](std::uint32_t walk) {
+                                   return holds(walk, seg_mask[seg]);
+                                 });
+
+  // Read a segment off the same compiled model methods the scalar path
+  // calls, into the entry `coords` addresses.
+  const auto fill = [&](std::size_t seg, const core::ScenarioConfig& s,
+                        const std::vector<std::size_t>& coords) {
+    SegmentTable& table = kernel.tables_[seg];
+    std::size_t flat = 0;
+    for (const SegmentTable::IndexTerm& term : table.terms)
+      flat += coords[term.axis] * term.stride;
+    const double lat = segment_latency_ms(latency, seg, s);
+    table.latency_ms[flat] = lat;
+    switch (recipes[seg].energy) {
+      case EnergySource::kCompute:
+        // Same call chain as the scalar path: Eq. (21) mean power for
+        // this scenario's allocation, times the segment duration.
+        table.energy_mj[flat] = power.segment_energy_mj(
+            lat, s.client.cpu_ghz, s.client.gpu_ghz, s.client.omega_c);
+        break;
+      case EnergySource::kRadioRx:
+        table.energy_mj[flat] = radio.rx_mw * lat / 1000.0;
+        break;
+      case EnergySource::kRadioTx:
+        table.energy_mj[flat] = radio.tx_mw * lat / 1000.0;
+        break;
+      case EnergySource::kRadioIdleWait:
+        table.energy_mj[flat] = radio.idle_wait_mw * lat / 1000.0;
+        break;
+    }
+  };
+
+  // Scenarios come from the grid's own appliers through a prefix cursor,
+  // never a re-implementation of them.
+  ScenarioGrid::Cursor cursor(grid);
+  std::vector<std::size_t> coords(kernel.radix_.size(), 0);
+  std::size_t scenarios = 0;
+
+  // A value that only masked entries carry is never built by the walks.
+  // One scenario per axis value (that value, every other coordinate 0)
+  // validates it, so every grid the scalar path rejects is still rejected.
+  for (std::size_t k = 0; k < coords.size(); ++k) {
+    for (std::size_t v = 0; v < kernel.radix_[k]; ++v) {
+      coords[k] = v;
+      core::validate(cursor.at(coords));
+      ++scenarios;
+    }
+    coords[k] = 0;
+  }
+
+  for (const std::uint32_t walk : walks) {
+    std::vector<std::size_t> axes;
+    for (std::size_t k = 0; k < coords.size(); ++k)
+      if (walk >> k & 1u) axes.push_back(k);
+    std::size_t entries = 1;
+    for (std::size_t a : axes) entries *= kernel.radix_[a];
+    for (std::size_t e = 0; e < entries; ++e) {
+      std::uint32_t nonzero = 0;
+      for (std::size_t a : axes)
+        if (coords[a] != 0) nonzero |= 1u << a;
       const bool local =
-          s.inference.placement == core::InferencePlacement::kLocal;
-      bool on_path = recipe.mask == PathMask::kAny ||
-                     (recipe.mask == PathMask::kLocalOnly && local) ||
-                     (recipe.mask == PathMask::kRemoteOnly && !local);
-      // Eq. (1) adds cooperation only when the scenario both runs it and
-      // counts it; both flags are base constants, so the whole table holds
-      // exactly the 0.0 the scalar sum adds.
-      if (seg == kCooperation &&
-          !(s.cooperation.active && s.cooperation.include_in_total))
-        on_path = false;
-      if (!on_path) continue;
-
-      const double lat = segment_latency_ms(latency, seg, s);
-      table.latency_ms[flat] = lat;
-      switch (recipe.energy) {
-        case EnergySource::kCompute:
-          // Same call chain as the scalar path: Eq. (21) mean power for
-          // this scenario's allocation, times the segment duration.
-          table.energy_mj[flat] = power.segment_energy_mj(
-              lat, s.client.cpu_ghz, s.client.gpu_ghz, s.client.omega_c);
-          break;
-        case EnergySource::kRadioRx:
-          table.energy_mj[flat] = radio.rx_mw * lat / 1000.0;
-          break;
-        case EnergySource::kRadioTx:
-          table.energy_mj[flat] = radio.tx_mw * lat / 1000.0;
-          break;
-        case EnergySource::kRadioIdleWait:
-          table.energy_mj[flat] = radio.idle_wait_mw * lat / 1000.0;
-          break;
+          placement_axis ? point_local[coords[*placement_axis]] : base_local;
+      const core::ScenarioConfig* s = nullptr;
+      for (std::size_t seg = 0; seg < recipes.size(); ++seg) {
+        if (walk_of[seg] != walk || (nonzero & ~seg_mask[seg]) != 0 ||
+            !on_path(seg, local))
+          continue;
+        if (!s) {
+          s = &cursor.at(coords);
+          core::validate(*s);
+          ++scenarios;
+        }
+        fill(seg, *s, coords);
+      }
+      // Mixed-radix odometer over the walk's axes, last fastest; it wraps
+      // back to all zeros after the last entry.
+      for (std::size_t j = axes.size(); j-- > 0;) {
+        if (++coords[axes[j]] < kernel.radix_[axes[j]]) break;
+        coords[axes[j]] = 0;
       }
     }
   }
@@ -250,6 +335,7 @@ std::optional<DecisionBatchKernel> DecisionBatchKernel::prepare(
                                  std::chrono::steady_clock::now() - prep_start)
                                  .count());
   metrics.table_entries.set(double(kernel.table_entries()));
+  metrics.scenarios.set(double(scenarios));
   return kernel;
 }
 

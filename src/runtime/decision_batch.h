@@ -15,7 +15,23 @@
 //     the axes that segment reads (its "dependency tuple"), filled by
 //     calling the same compiled LatencyModel/PowerModel methods the scalar
 //     path calls. All memo-table lookups, string resolutions, validation,
-//     and placement branches happen here, once per request.
+//     and placement branches happen here, once per request. It builds as
+//     few scenarios as that allows:
+//       - a path-masked entry (a remote-only segment at a local placement,
+//         or the reverse) holds a literal 0.0; its path is known from its
+//         placement coordinate (the base's when no axis sets it), so it is
+//         never built;
+//       - only the maximal dependency tuples (those no other segment's
+//         tuple contains) are walked; each segment is filled from the first
+//         walk whose tuple holds its own, at entries whose coordinates
+//         outside its tuple are 0, so one scenario, validated once, serves
+//         every segment that reads it;
+//       - scenarios come from a ScenarioGrid::Cursor, which re-applies the
+//         grid's appliers only from the first changed axis;
+//       - since masked entries are never validated, one scenario per axis
+//         value (that value, every other coordinate 0) is validated too,
+//         so every grid the scalar path rejects is still rejected (DESIGN.md,
+//         "Serving-path architecture", says why that suffices).
 //   * run() then evaluates candidates column-wise (structure-of-arrays):
 //     the per-candidate loop is a mixed-radix odometer over the axis
 //     coordinates, ~11 table loads, and a fixed chain of additions — no
@@ -27,9 +43,10 @@
 //
 //   * a segment value is produced by the SAME machine code as the scalar
 //     path (out-of-line calls into latency_model.cpp / power.cpp), fed the
-//     SAME materialized scenario (grid.at() with non-dependency coordinates
-//     pinned at 0 — legal precisely because the segment never reads those
-//     knobs);
+//     SAME materialized scenario: grid.at() with non-dependency coordinates
+//     pinned at 0 (legal precisely because the segment never reads those
+//     knobs), built by the cursor, which runs the same appliers in the same
+//     order on an equal copy-assigned prefix and so is bitwise grid.at();
 //   * the totals are reduced in the scalar path's exact association:
 //     Eq. (1)'s left-to-right segment order for latency, Eq. (19)'s
 //     segment_sum + base + thermal for energy. Masked segments contribute

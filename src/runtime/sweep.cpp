@@ -423,6 +423,30 @@ core::ScenarioConfig ScenarioGrid::at(std::size_t i) const {
   return s;
 }
 
+ScenarioGrid::Cursor::Cursor(const ScenarioGrid& grid)
+    : grid_(grid),
+      coords_(grid.axis_count(), 0),
+      prefix_(grid.axis_count()) {}
+
+const core::ScenarioConfig& ScenarioGrid::Cursor::at(
+    const std::vector<std::size_t>& coords) {
+  (void)grid_.index_of(coords);  // rank and range checks
+  const std::size_t n = grid_.axes_.size();
+  if (n == 0) return grid_.base_;
+  std::size_t k = 0;
+  while (k < valid_ && coords[k] == coords_[k]) ++k;
+  // Mark the suffix stale first, so an applier that throws leaves the
+  // cursor consistent.
+  valid_ = k;
+  for (; k < n; ++k) {
+    prefix_[k] = k ? prefix_[k - 1] : grid_.base_;
+    grid_.axes_[k].points[coords[k]].apply(prefix_[k]);
+    coords_[k] = coords[k];
+    valid_ = k + 1;
+  }
+  return prefix_[n - 1];
+}
+
 std::string ScenarioGrid::label(std::size_t i) const {
   const auto c = coords(i);
   std::string out;

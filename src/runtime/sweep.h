@@ -217,6 +217,28 @@ class ScenarioGrid {
     return base_;
   }
 
+  /// Prefix-snapshot cursor: materializes scenarios by coordinates, keeping
+  /// the scenario after each axis prefix 0..k of the last point it built.
+  /// Moving to new coordinates copy-assigns the kept prefix in front of the
+  /// first changed axis and re-applies the grid's own appliers from there
+  /// on. Each result is bitwise at(index_of(coords)): the same appliers run
+  /// in the same order on an equal scenario value. Walks that change the
+  /// fast axes pay for those axes only. The grid must outlive the cursor.
+  class Cursor {
+   public:
+    explicit Cursor(const ScenarioGrid& grid);
+
+    /// The scenario at `coords` (one point index per axis), valid until the
+    /// next call. Throws like index_of on a rank or range mismatch.
+    const core::ScenarioConfig& at(const std::vector<std::size_t>& coords);
+
+   private:
+    const ScenarioGrid& grid_;
+    std::vector<std::size_t> coords_;  ///< coordinates of the kept prefixes.
+    std::vector<core::ScenarioConfig> prefix_;  ///< after axes 0..k.
+    std::size_t valid_ = 0;  ///< leading prefixes that match coords_.
+  };
+
  private:
   core::ScenarioConfig base_;
   std::vector<SweepAxis> axes_;

@@ -11,6 +11,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "core/framework.h"
@@ -70,6 +71,17 @@ void expect_summaries_bitwise_equal(const shard::MergedSummary& a,
   }
 }
 
+/// One serializable axis: numeric values, or string values for the
+/// placement and CNN knobs.
+AxisSpec axis(const char* knob, std::vector<double> numbers,
+              std::vector<std::string> strings = {}) {
+  AxisSpec a;
+  a.knob = knob;
+  a.numbers = std::move(numbers);
+  a.strings = std::move(strings);
+  return a;
+}
+
 TEST(DecisionBatchKernel, DefaultEnabled) {
   EXPECT_TRUE(batch_decision_kernel_enabled());
 }
@@ -112,45 +124,59 @@ TEST(DecisionBatchKernel, BitwiseIdenticalToScalarAcrossExamplesAndThreads) {
 }
 
 // Per-point totals, not just reductions: every (latency, energy) pair the
-// kernel computes equals the scalar model's, on a grid mixing decision
+// kernel computes equals the scalar model's, on grids mixing decision
 // knobs with scenario context axes — and is invariant to the thread count.
+// The second grid declares placement first (so the edge axes act on the
+// edge set each placement leaves) and varies every knob, so every recipe
+// tuple is walked with more than one value per axis.
 TEST(DecisionBatchKernel, PerPointTotalsMatchScalarOnMixedGrid) {
   const core::XrPerformanceModel model;
-  GridSpec spec;
-  spec.factory = "remote";
-  const auto axis = [](const char* knob, std::vector<double> numbers,
-                       std::vector<std::string> strings = {}) {
-    AxisSpec a;
-    a.knob = knob;
-    a.numbers = std::move(numbers);
-    a.strings = std::move(strings);
-    return a;
-  };
-  spec.axes = {axis("frame_size", {300, 700}),
-               axis("cpu_ghz", {1.0, 2.5}),
-               axis("omega_c", {0.0, 0.5, 1.0}),
-               axis("local_cnn", {}, {"MobileNetv2_300_Float"}),
-               axis("edge_count", {1, 2}),
-               axis("codec_mbps", {2.0, 8.0}),
-               axis("placement", {}, {"local", "remote"})};
+  GridSpec placement_last;
+  placement_last.factory = "remote";
+  placement_last.axes = {axis("frame_size", {300, 700}),
+                         axis("cpu_ghz", {1.0, 2.5}),
+                         axis("omega_c", {0.0, 0.5, 1.0}),
+                         axis("local_cnn", {}, {"MobileNetv2_300_Float"}),
+                         axis("edge_count", {1, 2}),
+                         axis("codec_mbps", {2.0, 8.0}),
+                         axis("placement", {}, {"local", "remote"})};
+  GridSpec placement_first;
+  placement_first.factory = "remote";
+  placement_first.axes = {
+      axis("placement", {}, {"local", "remote"}),
+      axis("frame_size", {300, 700}),
+      axis("cpu_ghz", {1.0, 2.5}),
+      axis("omega_c", {0.0, 0.5, 1.0}),
+      axis("local_cnn", {}, {"MobileNetv2_300_Float", "EfficientNet_Float"}),
+      axis("edge_count", {1, 2}),
+      axis("edge_cnn", {}, {"YoloV3", "YoloV7"}),
+      axis("codec_mbps", {2.0, 8.0}),
+      axis("throughput_mbps", {40, 120})};
 
-  const auto kernel = DecisionBatchKernel::prepare(spec, model);
-  ASSERT_TRUE(kernel.has_value());
-  const ScenarioGrid grid = spec.build();
-  ASSERT_EQ(kernel->size(), grid.size());
+  for (const GridSpec* spec : {&placement_last, &placement_first}) {
+    const std::string label =
+        spec == &placement_last ? "placement last" : "placement first";
+    const auto kernel = DecisionBatchKernel::prepare(*spec, model);
+    ASSERT_TRUE(kernel.has_value()) << label;
+    const ScenarioGrid grid = spec->build();
+    ASSERT_EQ(kernel->size(), grid.size()) << label;
 
-  const auto serial = kernel->run(BatchOptions{1});
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const auto report = model.evaluate(grid.at(i));
-    ASSERT_EQ(serial.latency_ms[i], report.latency.total) << "point " << i;
-    ASSERT_EQ(serial.energy_mj[i], report.energy.total) << "point " << i;
-  }
+    const auto serial = kernel->run(BatchOptions{1});
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const auto report = model.evaluate(grid.at(i));
+      ASSERT_EQ(serial.latency_ms[i], report.latency.total)
+          << label << " point " << i;
+      ASSERT_EQ(serial.energy_mj[i], report.energy.total)
+          << label << " point " << i;
+    }
 
-  for (const std::size_t threads : {std::size_t(2), std::size_t(7)}) {
-    const auto parallel = kernel->run(BatchOptions{threads});
-    ASSERT_EQ(parallel.latency_ms, serial.latency_ms)
-        << "threads=" << threads;
-    ASSERT_EQ(parallel.energy_mj, serial.energy_mj) << "threads=" << threads;
+    for (const std::size_t threads : {std::size_t(2), std::size_t(7)}) {
+      const auto parallel = kernel->run(BatchOptions{threads});
+      ASSERT_EQ(parallel.latency_ms, serial.latency_ms)
+          << label << " threads=" << threads;
+      ASSERT_EQ(parallel.energy_mj, serial.energy_mj)
+          << label << " threads=" << threads;
+    }
   }
 }
 
@@ -184,6 +210,72 @@ TEST(DecisionBatchKernel, FallsBackWhenDisabledOrIneligible) {
     gt.reduction.kind = ReductionKind::kSummary;
     gt.evaluator.kind = shard::EvaluatorKind::kGroundTruth;
     EXPECT_FALSE(try_run_request_batched(gt, model).has_value());
+  }
+}
+
+/// Dynamic type name of what `f` throws; empty when it returns normally.
+template <typename F>
+std::string thrown_type(F&& f) {
+  try {
+    f();
+  } catch (const std::exception& e) {
+    return typeid(e).name();
+  }
+  return {};
+}
+
+// Throw parity: a grid carrying exactly one invalid value is rejected by
+// the kernel with the exception type the scalar path raises. Several
+// values sit only in path-masked table entries (a local CNN on a
+// remote-only grid, an edge CNN on a local-only one), which the kernel
+// never builds, so this also pins its per-axis-value validation.
+TEST(DecisionBatchKernel, RejectsEveryInvalidValueLikeScalar) {
+  const core::XrPerformanceModel model;
+  const auto grid = [](std::vector<AxisSpec> axes) {
+    GridSpec spec;
+    spec.factory = "remote";
+    spec.axes = std::move(axes);
+    return spec;
+  };
+  const AxisSpec both = axis("placement", {}, {"local", "remote"});
+
+  GridSpec mobility = grid({axis("omega_c", {0.25, 0.75}), both});
+  mobility.scenario = core::make_handoff_mobility_scenario();
+  mobility.scenario->mobility.step_length_per_frame_m =
+      mobility.scenario->mobility.zone_radius_m;
+
+  const std::vector<std::pair<std::string, GridSpec>> cases = {
+      {"local_cnn on a remote-only grid",
+       grid({axis("omega_c", {0.5, 1.0}),
+             axis("local_cnn", {}, {"MobileNetv2_300_Float", "NoSuchCnn"}),
+             axis("codec_mbps", {2.0, 4.0})})},
+      {"edge_cnn on a local-only grid, placement first",
+       grid({axis("placement", {}, {"local"}), axis("omega_c", {0.5}),
+             axis("edge_count", {1, 2}),
+             axis("edge_cnn", {}, {"YoloV3", "NoSuchCnn"})})},
+      {"throughput_mbps",
+       grid({axis("omega_c", {0.5}), axis("throughput_mbps", {40, 0}),
+             both})},
+      {"omega_c", grid({axis("omega_c", {0.5, 1.5}), both})},
+      {"cpu_ghz", grid({axis("cpu_ghz", {2, 0}), both})},
+      {"mobility step at the zone radius", mobility},
+  };
+  for (const auto& [name, spec] : cases) {
+    SweepRequest request;
+    request.grid = spec;
+    std::string scalar, kernel;
+    {
+      KernelToggle off(false);
+      scalar = thrown_type([&] { (void)run_request(request, model); });
+    }
+    {
+      KernelToggle on(true);
+      // The kernel itself must throw, not decline to the scalar path.
+      kernel = thrown_type(
+          [&] { (void)try_run_request_batched(request, model); });
+    }
+    EXPECT_FALSE(scalar.empty()) << name;
+    EXPECT_EQ(kernel, scalar) << name;
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <vector>
+
 #include "core/framework.h"
 #include "core/serialize.h"
 
@@ -337,6 +342,53 @@ TEST(GridSpec, AxisValidationNamesTheOffendingAxis) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("cpu_ghz"), std::string::npos);
   }
+}
+
+// The prefix cursor builds every point bitwise as at() does, whatever the
+// visiting order: odometer order (fast axes change) and a seeded shuffle
+// (any prefix changes). Placement is declared first, so the edge axes act
+// on the edge set each placement leaves behind.
+TEST(ScenarioGridCursor, MatchesAtInOdometerAndShuffledOrder) {
+  const auto grid = SweepSpec(core::make_remote_scenario(500, 2.0))
+                        .placements({core::InferencePlacement::kLocal,
+                                     core::InferencePlacement::kRemote})
+                        .frame_sizes({300, 700})
+                        .cpu_clocks_ghz({1.0, 2.5})
+                        .omega_c({0.0, 0.5})
+                        .edge_counts({1, 3})
+                        .edge_cnns({"YoloV3", "YoloV7"})
+                        .local_cnns({"MobileNetv2_300_Float",
+                                     "EfficientNet_Float"})
+                        .codec_bitrates_mbps({2.0, 8.0})
+                        .network_throughputs_mbps({40, 120})
+                        .build();
+  std::vector<std::size_t> order(grid.size());
+  std::iota(order.begin(), order.end(), std::size_t(0));
+  std::vector<std::size_t> shuffled = order;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(7));
+
+  for (const auto* visit : {&order, &shuffled}) {
+    ScenarioGrid::Cursor cursor(grid);
+    for (std::size_t i : *visit)
+      ASSERT_EQ(core::to_json(cursor.at(grid.coords(i))).dump(),
+                core::to_json(grid.at(i)).dump())
+          << "point " << i << (visit == &order ? " (odometer)" : " (shuffled)");
+  }
+}
+
+TEST(ScenarioGridCursor, RejectsBadCoordsAndServesTheBaseWithoutAxes) {
+  const auto grid = SweepSpec(core::make_remote_scenario(500, 2.0))
+                        .cpu_clocks_ghz({1.0, 2.0})
+                        .build();
+  ScenarioGrid::Cursor cursor(grid);
+  EXPECT_THROW((void)cursor.at({0, 0}), std::invalid_argument);
+  EXPECT_THROW((void)cursor.at({2}), std::out_of_range);
+  EXPECT_EQ(cursor.at({1}).client.cpu_ghz, 2.0);
+
+  const auto bare = SweepSpec(core::make_local_scenario(500, 2.0)).build();
+  ScenarioGrid::Cursor base_cursor(bare);
+  EXPECT_EQ(core::to_json(base_cursor.at({})).dump(),
+            core::to_json(bare.at(0)).dump());
 }
 
 }  // namespace
