@@ -4,8 +4,8 @@
 // Routes the ablation grid (the same serializable spec
 // scripts/sweep_sharded.sh feeds to real sweep_worker processes) through
 // the full shard pipeline: ShardPlan partitioning, per-shard run_worker
-// with streaming JSONL + partial reductions, and sweep_merge's fold. The
-// merged summary must be bitwise identical to the monolithic
+// with streaming .xrb records + partial reductions, and sweep_merge's
+// fold. The merged summary must be bitwise identical to the monolithic
 // BatchEvaluator run — the bench exits nonzero when it is not, so a merge
 // regression fails the run.
 #include <chrono>

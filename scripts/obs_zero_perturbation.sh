@@ -5,14 +5,20 @@
 # Builds a second tools-only tree with both stub macros set:
 # -DXR_OBS_DISABLED=ON (the registry, spans, and snapshots compile to
 # no-op stubs — no atomics on the off path) and -DXR_FAULT_DISABLED=ON
-# (every failpoint compiles to an inline `return nullopt`). It runs the
-# same workloads in both builds, with no fault schedule loaded, and diffs
-# every artifact that carries results:
+# (every failpoint compiles to an inline `return nullopt`). The stub tree
+# is also compiled with -march=native, so the same diffs prove that no
+# value moves with the target ISA either (the xr target pins
+# -ffp-contract=off). It runs the same workloads in both builds, with no
+# fault schedule loaded, and diffs every artifact that carries results:
 #
-#   1. a 2-shard ablation sweep in BOTH record formats: the .jsonl and
-#      .xrb record streams must be byte-identical, and the merged
-#      summaries bitwise equivalent (sweep_merge --check; .partial.json
-#      files carry wall-clock stats and are deliberately NOT diffed raw);
+#   1. a 2-shard ablation sweep and the local and remote Fig. 4
+#      ground-truth validation sweeps (200 frames, 4 threads): the .xrb
+#      record streams must be byte-identical, and the merged summaries
+#      bitwise equivalent (sweep_merge --check; .partial.json files carry
+#      wall-clock stats and are deliberately NOT diffed raw). The default
+#      tree runs these once more under
+#      GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA — the libm variants a
+#      host without FMA would pick — and those streams must match too;
 #   2. a plan-index build + serves across all three tiers (exact / snap /
 #      computed): index.json and every serve's stdout must be
 #      byte-identical;
@@ -31,7 +37,8 @@
 #
 # BUILD_DIR defaults to ./build (telemetry and failpoints on). The stub
 # build is cached in BUILD_DIR/stubs-off and configured with the same build
-# type, so the two binaries differ only in the two stub macros.
+# type, so the two binaries differ only in the two stub macros and the
+# target ISA.
 set -euo pipefail
 
 BUILD_DIR="${1:-$(dirname "$0")/../build}"
@@ -51,9 +58,9 @@ BUILD_TYPE="$(grep -m1 '^CMAKE_BUILD_TYPE:' "$BUILD_DIR/CMakeCache.txt" \
               | cut -d= -f2)"
 BUILD_TYPE="${BUILD_TYPE:-Release}"
 
-echo "== configure + build the XR_OBS_DISABLED + XR_FAULT_DISABLED stub tree ($BUILD_TYPE) =="
+echo "== configure + build the XR_OBS_DISABLED + XR_FAULT_DISABLED -march=native stub tree ($BUILD_TYPE) =="
 cmake -S "$SRC_DIR" -B "$OFF_DIR" \
-      -DCMAKE_BUILD_TYPE="$BUILD_TYPE" \
+      -DCMAKE_BUILD_TYPE="$BUILD_TYPE" -DCMAKE_CXX_FLAGS=-march=native \
       -DXR_OBS_DISABLED=ON -DXR_FAULT_DISABLED=ON \
       -DXR_BUILD_TESTS=OFF -DXR_BUILD_BENCH=OFF -DXR_BUILD_EXAMPLES=OFF \
       >/dev/null
@@ -69,6 +76,7 @@ if [[ -d /dev/shm && -w /dev/shm ]]; then TMP_ROOT=/dev/shm; fi
 OUT="$(mktemp -d "$TMP_ROOT/obs_zero.XXXXXX")"
 trap 'rm -rf "$OUT"' EXIT
 
+SWEEP_STREAMS=(s0.xrb s1.xrb gt_local.xrb gt_remote.xrb)
 run_sweep() {  # $1 = bindir, $2 = outdir
   local bin="$1" out="$2"
   mkdir -p "$out"
@@ -76,13 +84,16 @@ run_sweep() {  # $1 = bindir, $2 = outdir
     "$bin/sweep_worker" --ablation-grid --shard-id "$k" --shard-count 2 \
                         --out "$out/s$k" --chunk 4 \
                         --metrics-out "$out/s$k.metrics.json" >/dev/null
-    "$bin/sweep_worker" --ablation-grid --shard-id "$k" --shard-count 2 \
-                        --format binary --out "$out/b$k" --chunk 4 \
-                        --metrics-out "$out/b$k.metrics.json" >/dev/null
   done
   "$bin/sweep_merge" --out "$out/summary.json" \
                      --metrics-out "$out/merge.metrics.json" \
                      "$out/s0.partial.json" "$out/s1.partial.json" >/dev/null
+  for placement in local remote; do
+    "$bin/sweep_worker" --validation-grid "$placement" \
+                        --evaluator ground_truth --gt-frames 200 \
+                        --gt-seed 42 --threads 4 --shard-id 0 \
+                        --shard-count 1 --out "$out/gt_$placement" >/dev/null
+  done
 }
 
 run_index() {  # $1 = bindir, $2 = outdir
@@ -104,20 +115,23 @@ run_index() {  # $1 = bindir, $2 = outdir
 }
 
 echo
-echo "== workload A: 2-shard ablation sweep, default vs stubs =="
+echo "== workload A: ablation + GT sweeps, default vs stubs vs libm without FMA =="
 run_sweep "$BUILD_DIR" "$OUT/on"
 run_sweep "$OFF_DIR" "$OUT/off"
-for f in s0.jsonl s1.jsonl b0.xrb b1.xrb; do
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA run_sweep "$BUILD_DIR" "$OUT/nofma"
+for f in "${SWEEP_STREAMS[@]}"; do
   cmp "$OUT/on/$f" "$OUT/off/$f" \
     || { echo "obs_zero_perturbation.sh: $f differs between builds" >&2; exit 1; }
+  cmp "$OUT/on/$f" "$OUT/nofma/$f" \
+    || { echo "obs_zero_perturbation.sh: $f differs under GLIBC_TUNABLES" >&2; exit 1; }
 done
-# The binary shards merge to the same summary the JSONL shards produced.
-"$BUILD_DIR/sweep_merge" --check "$OUT/off/summary.json" \
-                         "$OUT/on/b0.xrb" "$OUT/on/b1.xrb" >/dev/null
-# Summaries via the merge law's own equivalence (wall stats excluded).
+# Summaries via the merge law's own equivalence (wall stats excluded),
+# from the checkpoints and from the record streams.
 "$BUILD_DIR/sweep_merge" --check "$OUT/off/summary.json" \
                          "$OUT/on/s0.partial.json" "$OUT/on/s1.partial.json" \
                          >/dev/null
+"$BUILD_DIR/sweep_merge" --check "$OUT/off/summary.json" \
+                         "$OUT/on/s0.xrb" "$OUT/on/s1.xrb" >/dev/null
 
 # Coordinator + one serving worker, no churn: every shard completes on
 # attempt 0, so the stems are the deterministic shard<k>.a0 pair.
@@ -151,7 +165,7 @@ done
 echo "== workload C: elastic sweep service, default vs stubs =="
 run_service "$BUILD_DIR" "$OUT/on"
 run_service "$OFF_DIR" "$OUT/off"
-for f in svc/shards/shard0.a0.jsonl svc/shards/shard1.a0.jsonl; do
+for f in svc/shards/shard0.a0.xrb svc/shards/shard1.a0.xrb; do
   cmp "$OUT/on/$f" "$OUT/off/$f" \
     || { echo "obs_zero_perturbation.sh: $f differs between builds" >&2; exit 1; }
 done
@@ -163,11 +177,9 @@ done
 echo "== instrumentation present in the obs-on snapshots =="
 grep -q '"shard.worker.records_streamed":' "$OUT/on/s0.metrics.json"
 grep -q '"shard.worker.checkpoint_writes":' "$OUT/on/s0.metrics.json"
-grep -q '"shard.sink.jsonl.records":' "$OUT/on/s0.metrics.json"
-grep -q '"shard.sink.jsonl.bytes":' "$OUT/on/s0.metrics.json"
-grep -q '"shard.sink.binary.records":' "$OUT/on/b0.metrics.json"
-grep -q '"shard.sink.binary.bytes":' "$OUT/on/b0.metrics.json"
-grep -q '"shard.sink.flush_ms":' "$OUT/on/b0.metrics.json"
+grep -q '"shard.sink.binary.records":' "$OUT/on/s0.metrics.json"
+grep -q '"shard.sink.binary.bytes":' "$OUT/on/s0.metrics.json"
+grep -q '"shard.sink.flush_ms":' "$OUT/on/s0.metrics.json"
 grep -q '"shard.merge.merges":' "$OUT/on/merge.metrics.json"
 grep -q '"serving.plan_index.exact_hits":1' "$OUT/on/serve.metrics.json" \
   || grep -q '"serving.plan_index.computed":1' "$OUT/on/serve.metrics.json"
@@ -182,4 +194,4 @@ grep -q '"counters":{}' "$OUT/off/s0.metrics.json"
 grep -q '"counters":{}' "$OUT/off/svc/service.metrics.json"
 
 echo
-echo "obs_zero_perturbation.sh: OK (all outputs bitwise identical, default build == obs + fault stubs)"
+echo "obs_zero_perturbation.sh: OK (all outputs bitwise identical, default build == obs + fault stubs at -march=native == libm without FMA)"

@@ -55,10 +55,10 @@ for pid in "${pids[@]}"; do wait "$pid"; done
 
 echo
 echo "== refinement set: one pure selection over the coarse streams =="
-coarse_jsonl=()
-for (( k=0; k<SHARDS; k++ )); do coarse_jsonl+=("$OUT/c$k.jsonl"); done
+coarse=()
+for (( k=0; k<SHARDS; k++ )); do coarse+=("$OUT/c$k.xrb"); done
 "$PLAN" --request "$OUT/request.json" --refine-out "$OUT/refine.json" \
-        "${coarse_jsonl[@]}"
+        "${coarse[@]}"
 
 echo
 echo "== pass 2: $SHARDS hybrid fine legs (shard 1 killed + resumed) =="

@@ -4,9 +4,10 @@
 # grid must merge bitwise-equivalent to the single-process summary — for
 # both range and strided partitioning, and through a kill/resume mid-shard.
 # Per-point simulator seeds derive from the global grid index, so shard
-# count, strategy, and resume position must not change a single bit — nor
-# may the record encoding: a binary (--format binary) range leg with
-# kill/resume repeats the same check from .xrb record streams.
+# count, strategy, and resume position must not change a single bit: each
+# killed shard's resumed .xrb stream must be byte-identical to its clean
+# run, and the shards merge from checkpoints, from their record streams,
+# and from a mix of both to the monolithic summary.
 #
 #   usage: scripts/sweep_gt_sharded.sh [BUILD_DIR] [SHARDS]
 #
@@ -49,13 +50,23 @@ for (( k=0; k<SHARDS; k++ )); do
 done
 for pid in "${pids[@]}"; do wait "$pid"; done
 
+# Redo one shard, killed after N records, and resume it: the stream must be
+# byte-identical to the clean run's.
+kill_resume() {  # $1 = strategy, $2 = shard, $3 = records before the kill
+  local strategy="$1" k="$2" n="$3" stem="$OUT/$1$2"
+  cp "$stem.xrb" "$stem.clean.ref"
+  rm -f "$stem.xrb" "$stem.partial.json"
+  "$WORKER" "${GT[@]}" --shard-id "$k" --shard-count "$SHARDS" \
+            --strategy "$strategy" --out "$stem" --chunk 2 --max-records "$n"
+  "$WORKER" "${GT[@]}" --shard-id "$k" --shard-count "$SHARDS" \
+            --strategy "$strategy" --out "$stem" --chunk 2 --resume
+  cmp "$stem.xrb" "$stem.clean.ref" \
+    || { echo "sweep_gt_sharded.sh: resumed $strategy$k differs from clean run" >&2; exit 1; }
+}
+
 echo
 echo "== range: kill/resume mid-shard (shard 1 stopped after 2 records) =="
-rm -f "$OUT/range1.jsonl" "$OUT/range1.partial.json"
-"$WORKER" "${GT[@]}" --shard-id 1 --shard-count "$SHARDS" \
-          --strategy range --out "$OUT/range1" --chunk 2 --max-records 2
-"$WORKER" "${GT[@]}" --shard-id 1 --shard-count "$SHARDS" \
-          --strategy range --out "$OUT/range1" --chunk 2 --resume
+kill_resume range 1 2
 
 echo
 echo "== range merge + bitwise check against the monolithic summary =="
@@ -76,11 +87,7 @@ for pid in "${pids[@]}"; do wait "$pid"; done
 
 echo
 echo "== strided: kill/resume mid-shard (shard 0 stopped after 3 records) =="
-rm -f "$OUT/strided0.jsonl" "$OUT/strided0.partial.json"
-"$WORKER" "${GT[@]}" --shard-id 0 --shard-count "$SHARDS" \
-          --strategy strided --out "$OUT/strided0" --chunk 2 --max-records 3
-"$WORKER" "${GT[@]}" --shard-id 0 --shard-count "$SHARDS" \
-          --strategy strided --out "$OUT/strided0" --chunk 2 --resume
+kill_resume strided 0 3
 
 echo
 echo "== strided merge + bitwise check against the monolithic summary =="
@@ -90,37 +97,14 @@ for (( k=0; k<SHARDS; k++ )); do partials+=("$OUT/strided$k.partial.json"); done
          --check "$OUT/mono.summary.json" "${partials[@]}"
 
 echo
-echo "== binary range: $SHARDS ground-truth workers (--format binary) =="
-pids=()
-for (( k=0; k<SHARDS; k++ )); do
-  "$WORKER" "${GT[@]}" --shard-id "$k" --shard-count "$SHARDS" \
-            --strategy range --format binary --out "$OUT/bin$k" --chunk 2 &
-  pids+=($!)
-done
-for pid in "${pids[@]}"; do wait "$pid"; done
-
-echo
-echo "== binary kill/resume: shard 1 stopped after 2 records =="
-cp "$OUT/bin1.xrb" "$OUT/bin1.clean.ref"
-rm -f "$OUT/bin1.xrb" "$OUT/bin1.partial.json"
-"$WORKER" "${GT[@]}" --shard-id 1 --shard-count "$SHARDS" \
-          --strategy range --format binary --out "$OUT/bin1" --chunk 2 \
-          --max-records 2
-"$WORKER" "${GT[@]}" --shard-id 1 --shard-count "$SHARDS" \
-          --strategy range --format binary --out "$OUT/bin1" --chunk 2 \
-          --resume
-cmp "$OUT/bin1.xrb" "$OUT/bin1.clean.ref" \
-  || { echo "sweep_gt_sharded.sh: resumed .xrb differs from clean run" >&2; exit 1; }
-
-echo
-echo "== binary merge from the .xrb streams + mixed-format merge =="
+echo "== merge from the range .xrb streams + mixed stream/checkpoint merge =="
 records=()
-for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/bin$k.xrb"); done
-"$MERGE" --out "$OUT/binary.summary.json" \
+for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/range$k.xrb"); done
+"$MERGE" --out "$OUT/records.summary.json" \
          --check "$OUT/mono.summary.json" "${records[@]}"
-mixed=("$OUT/range0.jsonl" "$OUT/bin1.xrb")
+mixed=("$OUT/range0.xrb" "$OUT/range1.xrb")
 for (( k=2; k<SHARDS; k++ )); do mixed+=("$OUT/range$k.partial.json"); done
 "$MERGE" --check "$OUT/mono.summary.json" "${mixed[@]}"
 
 echo
-echo "sweep_gt_sharded.sh: OK (range, strided, and binary x$SHARDS == monolithic, bitwise, incl. kill/resume)"
+echo "sweep_gt_sharded.sh: OK (range and strided x$SHARDS == monolithic, bitwise, incl. kill/resume, streams, mixed)"

@@ -5,9 +5,9 @@
 # to the monolithic plan_offload call (sweep_plan --request --plan-out) —
 # best-latency, best-energy, best-weighted, and the full Pareto frontier.
 # Also exercises checkpoint/resume: one shard is killed early and resumed
-# before the merge. A binary leg ("format": "binary" record streams,
-# merged straight from the .xrb files) must reduce to the same
-# byte-identical plan — the record encoding can never reach the decision.
+# before the merge, byte-identical to its clean run. The shards reduce to
+# the same byte-identical plan whether merged from their checkpoints or
+# straight from their .xrb record streams.
 #
 #   usage: scripts/sweep_offload_plan.sh [BUILD_DIR] [SHARDS]
 #
@@ -55,42 +55,36 @@ for pid in "${pids[@]}"; do wait "$pid"; done
 
 echo
 echo "== checkpoint/resume: redo shard 1, killed after 5 records =="
-rm -f "$OUT/shard1.jsonl" "$OUT/shard1.partial.json"
+cp "$OUT/shard1.xrb" "$OUT/shard1.clean.ref"
+rm -f "$OUT/shard1.xrb" "$OUT/shard1.partial.json"
 "$WORKER" --request "$OUT/request.json" --shard-id 1 --shard-count "$SHARDS" \
-          --out "$OUT/shard1" --chunk 4 --max-records 5
+          --out "$OUT/shard1" --chunk 8 --max-records 5
 "$WORKER" --request "$OUT/request.json" --shard-id 1 --shard-count "$SHARDS" \
-          --out "$OUT/shard1" --chunk 4 --resume
+          --out "$OUT/shard1" --chunk 8 --resume
+cmp "$OUT/shard1.xrb" "$OUT/shard1.clean.ref" \
+  || { echo "sweep_offload_plan.sh: resumed shard 1 differs from clean run" >&2; exit 1; }
+
+# Reduce the merged operands to the plan; it must match the monolithic one.
+merge_plan() {  # $1 = label, rest = operands
+  local label="$1"
+  shift
+  "$MERGE" --request "$OUT/request.json" --plan-out "$OUT/$label.plan.json" "$@"
+  if ! cmp "$OUT/mono.plan.json" "$OUT/$label.plan.json"; then
+    echo "sweep_offload_plan.sh: FAIL ($label plan diverged)" >&2
+    exit 1
+  fi
+}
 
 echo
-echo "== merge + reduce to the offload plan =="
+echo "== merge the checkpoints + reduce to the offload plan =="
 partials=()
 for (( k=0; k<SHARDS; k++ )); do partials+=("$OUT/shard$k.partial.json"); done
-"$MERGE" --request "$OUT/request.json" --plan-out "$OUT/sharded.plan.json" \
-         "${partials[@]}"
+merge_plan checkpoints "${partials[@]}"
 
 echo
-if ! cmp "$OUT/mono.plan.json" "$OUT/sharded.plan.json"; then
-  echo "sweep_offload_plan.sh: FAIL (plans diverged)" >&2
-  exit 1
-fi
-
-echo
-echo "== binary leg: $SHARDS workers (--format binary), merge from .xrb =="
-pids=()
-for (( k=0; k<SHARDS; k++ )); do
-  "$WORKER" --request "$OUT/request.json" --shard-id "$k" \
-            --shard-count "$SHARDS" --format binary \
-            --out "$OUT/bin$k" --chunk 8 &
-  pids+=($!)
-done
-for pid in "${pids[@]}"; do wait "$pid"; done
+echo "== merge straight from the .xrb record streams =="
 records=()
-for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/bin$k.xrb"); done
-"$MERGE" --request "$OUT/request.json" --plan-out "$OUT/binary.plan.json" \
-         "${records[@]}"
-if ! cmp "$OUT/mono.plan.json" "$OUT/binary.plan.json"; then
-  echo "sweep_offload_plan.sh: FAIL (binary-leg plan diverged)" >&2
-  exit 1
-fi
+for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/shard$k.xrb"); done
+merge_plan records "${records[@]}"
 
-echo "sweep_offload_plan.sh: OK ($SHARDS shards -> OffloadPlan == monolithic, byte-identical, jsonl + binary)"
+echo "sweep_offload_plan.sh: OK ($SHARDS shards -> OffloadPlan == monolithic, byte-identical, checkpoints + streams)"

@@ -5,12 +5,11 @@
 # mid-shard and late joiners pick up the reassigned leases.
 #
 # Two legs, both checked bitwise against the monolithic reference:
-#   * jsonl leg   — one worker killed deterministically mid-shard via the
-#                   --crash-after-slices hook, a second worker joins late;
-#   * binary leg  — a worker killed for real (kill -9) mid-shard (paced by
-#                   --slice-delay-ms so the kill cannot miss), with binary
-#                   record streams, proving the checkpoint/resume chunk
-#                   grid holds through reassignment.
+#   * crash leg — one worker killed deterministically mid-shard via the
+#                 --crash-after-slices hook, a second worker joins late;
+#   * kill leg  — a worker killed for real (kill -9) mid-shard (paced by
+#                 --slice-delay-ms so the kill cannot miss), proving the
+#                 checkpoint/resume chunk grid holds through reassignment.
 #
 #   usage: scripts/sweep_service.sh [BUILD_DIR] [SHARDS]
 #
@@ -56,10 +55,10 @@ echo "== monolithic reference: summary + plan =="
 "$PLAN" --request "$OUT/request.json" --summary-out "$OUT/mono.summary.json"
 "$PLAN" --request "$OUT/request.json" --plan-out "$OUT/mono.plan.json"
 
-# --- leg 1: jsonl, deterministic crash + late joiner ---------------------
+# --- leg 1: deterministic crash + late joiner ----------------------------
 echo
-echo "== jsonl leg: $SHARDS shards, crash-after-slices worker + late joiner =="
-MAIL="$OUT/svc-jsonl"
+echo "== crash leg: $SHARDS shards, crash-after-slices worker + late joiner =="
+MAIL="$OUT/svc-crash"
 # chunk 16 -> slices of 16 records; the crashing worker dies after 2
 # slices, mid-shard, leaving a flushed 32-record prefix for the
 # reassigned attempt to resume.
@@ -76,7 +75,7 @@ worker_pids+=($!)
 "$COORD" --request "$OUT/request.json" --mail "$MAIL" \
          --shard-dir "$MAIL/shards" --shards "$SHARDS" \
          --chunk-records 16 --lease-timeout-ms 2000 --poll-ms 20 \
-         --out "$OUT/jsonl.summary.json" --check "$OUT/mono.summary.json" \
+         --out "$OUT/crash.summary.json" --check "$OUT/mono.summary.json" \
          --metrics-out "$OUT/service.metrics.json"
 wait "${worker_pids[0]}" || true   # the crash hook exits nonzero by design
 wait "${worker_pids[1]}"
@@ -103,10 +102,10 @@ else:
 PY
 fi
 
-# --- leg 2: binary, real kill -9 -----------------------------------------
+# --- leg 2: real kill -9 -------------------------------------------------
 echo
-echo "== binary leg: $SHARDS shards, real kill -9 mid-shard =="
-MAIL="$OUT/svc-binary"
+echo "== kill leg: $SHARDS shards, real kill -9 mid-shard =="
+MAIL="$OUT/svc-kill"
 # The victim is paced (300 ms per 16-record slice -> ~1.2 s per shard) so
 # the kill at t=1 s is guaranteed to land mid-shard, after at least one
 # flushed chunk. The survivor joins only after the kill and inherits the
@@ -124,21 +123,21 @@ worker_pids+=($victim)
 worker_pids+=($!)
 "$COORD" --request "$OUT/request.json" --mail "$MAIL" \
          --shard-dir "$MAIL/shards" --shards "$SHARDS" \
-         --format binary --chunk-records 16 \
+         --chunk-records 16 \
          --lease-timeout-ms 2000 --poll-ms 20 \
-         --out "$OUT/binary.summary.json" --check "$OUT/mono.summary.json" \
-         --plan-out "$OUT/binary.plan.json"
+         --out "$OUT/kill.summary.json" --check "$OUT/mono.summary.json" \
+         --plan-out "$OUT/kill.plan.json"
 wait "${worker_pids[0]}" 2>/dev/null || true   # kill -9 -> nonzero, expected
 wait "${worker_pids[1]}"
 worker_pids=()
 if ! ls "$MAIL/shards/"*.a1.xrb >/dev/null 2>&1; then
-  echo "sweep_service.sh: FAIL (no reassigned binary attempt stem — the kill missed)" >&2
+  echo "sweep_service.sh: FAIL (no reassigned attempt stem — the kill missed)" >&2
   exit 1
 fi
-if ! cmp "$OUT/mono.plan.json" "$OUT/binary.plan.json"; then
+if ! cmp "$OUT/mono.plan.json" "$OUT/kill.plan.json"; then
   echo "sweep_service.sh: FAIL (service-reduced plan diverged from monolithic)" >&2
   exit 1
 fi
 
 echo
-echo "sweep_service.sh: OK (churn + late join + kill -9 -> summary/plan == monolithic, bitwise, jsonl + binary)"
+echo "sweep_service.sh: OK (churn + late join + kill -9 -> summary/plan == monolithic, bitwise)"

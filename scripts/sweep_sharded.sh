@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Sharded sweep acceptance gate: K sweep_worker processes + sweep_merge over
 # the testbed ablation grid must reproduce the single-process summary
-# bitwise. Also demonstrates checkpoint/resume: one shard is stopped early
-# and resumed before the merge. A second leg repeats the law with
-# --format binary record streams (kill/resume included, resumed .xrb
-# byte-identical to an uninterrupted run), merges straight from the .xrb
-# record files, and finishes with a mixed-format merge — one JSONL stream,
-# one binary stream, one checkpoint — to the same bitwise summary.
+# bitwise. Also demonstrates checkpoint/resume: two shards are stopped
+# early — one mid-chunk, one on a chunk boundary — resumed, and must come
+# out byte-identical to an uninterrupted run. The shards merge from their
+# checkpoints, from their .xrb record streams, and from a mix of the two,
+# each time to the same bitwise summary; and the concatenated
+# `sweep_merge --dump` of the K range shards equals the monolithic dump.
 #
 #   usage: scripts/sweep_sharded.sh [BUILD_DIR] [SHARDS]
 #
@@ -45,54 +45,54 @@ for (( k=0; k<SHARDS; k++ )); do
 done
 for pid in "${pids[@]}"; do wait "$pid"; done
 
-echo
-echo "== checkpoint/resume: redo shard 0, killed after 3 records =="
-rm -f "$OUT/shard0.jsonl" "$OUT/shard0.partial.json"
-"$WORKER" --ablation-grid --shard-id 0 --shard-count "$SHARDS" \
-          --out "$OUT/shard0" --chunk 2 --max-records 3
-"$WORKER" --ablation-grid --shard-id 0 --shard-count "$SHARDS" \
-          --out "$OUT/shard0" --chunk 2 --resume
+# Redo shard K, killed after N records, and resume it: the stream must be
+# byte-identical to the clean run's.
+kill_resume() {  # $1 = shard, $2 = records before the kill
+  local k="$1" n="$2"
+  cp "$OUT/shard$k.xrb" "$OUT/shard$k.clean.ref"
+  rm -f "$OUT/shard$k.xrb" "$OUT/shard$k.partial.json"
+  "$WORKER" --ablation-grid --shard-id "$k" --shard-count "$SHARDS" \
+            --out "$OUT/shard$k" --chunk 4 --max-records "$n"
+  "$WORKER" --ablation-grid --shard-id "$k" --shard-count "$SHARDS" \
+            --out "$OUT/shard$k" --chunk 4 --resume
+  cmp "$OUT/shard$k.xrb" "$OUT/shard$k.clean.ref" \
+    || { echo "sweep_sharded.sh: resumed shard $k differs from clean run" >&2; exit 1; }
+}
 
 echo
-echo "== merge + bitwise check against the monolithic summary =="
+echo "== kill/resume: shard 0 killed mid-chunk (3 records), shard 1 on the chunk grid (4) =="
+kill_resume 0 3
+kill_resume 1 4
+
+echo
+echo "== merge from the checkpoints + bitwise check against the monolithic summary =="
 partials=()
 for (( k=0; k<SHARDS; k++ )); do partials+=("$OUT/shard$k.partial.json"); done
 "$MERGE" --out "$OUT/sharded.summary.json" \
          --check "$OUT/mono.summary.json" "${partials[@]}"
 
 echo
-echo "== binary: $SHARDS workers (--format binary) =="
-pids=()
-for (( k=0; k<SHARDS; k++ )); do
-  "$WORKER" --ablation-grid --shard-id "$k" --shard-count "$SHARDS" \
-            --format binary --out "$OUT/bin$k" --chunk 4 &
-  pids+=($!)
-done
-for pid in "${pids[@]}"; do wait "$pid"; done
-
-echo
-echo "== binary kill/resume: redo shard 1, byte-identical to clean =="
-cp "$OUT/bin1.xrb" "$OUT/bin1.clean.ref"
-rm -f "$OUT/bin1.xrb" "$OUT/bin1.partial.json"
-"$WORKER" --ablation-grid --shard-id 1 --shard-count "$SHARDS" \
-          --format binary --out "$OUT/bin1" --chunk 4 --max-records 3
-"$WORKER" --ablation-grid --shard-id 1 --shard-count "$SHARDS" \
-          --format binary --out "$OUT/bin1" --chunk 4 --resume
-cmp "$OUT/bin1.xrb" "$OUT/bin1.clean.ref" \
-  || { echo "sweep_sharded.sh: resumed .xrb differs from clean run" >&2; exit 1; }
-
-echo
-echo "== binary merge from the .xrb record streams themselves =="
+echo "== merge from the .xrb record streams themselves =="
 records=()
-for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/bin$k.xrb"); done
-"$MERGE" --out "$OUT/binary.summary.json" \
+for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/shard$k.xrb"); done
+"$MERGE" --out "$OUT/records.summary.json" \
          --check "$OUT/mono.summary.json" "${records[@]}"
 
 echo
-echo "== mixed-format merge: .jsonl stream + .xrb stream + checkpoint =="
-mixed=("$OUT/shard0.jsonl" "$OUT/bin1.xrb")
+echo "== mixed merge: .xrb streams + checkpoint =="
+mixed=("$OUT/shard0.xrb" "$OUT/shard1.xrb")
 for (( k=2; k<SHARDS; k++ )); do mixed+=("$OUT/shard$k.partial.json"); done
 "$MERGE" --check "$OUT/mono.summary.json" "${mixed[@]}"
 
 echo
-echo "sweep_sharded.sh: OK ($SHARDS shards == monolithic, bitwise, jsonl + binary + mixed)"
+echo "== dump: the K range shards' records, concatenated, are the monolithic records =="
+"$MERGE" --dump "$OUT/mono.xrb" > "$OUT/mono.dump"
+for (( k=0; k<SHARDS; k++ )); do "$MERGE" --dump "$OUT/shard$k.xrb"; done \
+  > "$OUT/sharded.dump"
+[[ -s "$OUT/mono.dump" ]] \
+  || { echo "sweep_sharded.sh: empty monolithic dump" >&2; exit 1; }
+cmp "$OUT/mono.dump" "$OUT/sharded.dump" \
+  || { echo "sweep_sharded.sh: sharded dump differs from monolithic dump" >&2; exit 1; }
+
+echo
+echo "sweep_sharded.sh: OK ($SHARDS shards == monolithic, bitwise: checkpoints, streams, mixed, dumps)"

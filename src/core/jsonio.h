@@ -1,6 +1,6 @@
 // Minimal JSON value type shared by every serializable document in the repo.
 //
-// Sweep requests, grid/scenario specs, JSONL result records, and
+// Sweep requests, grid/scenario specs, dumped result records, and
 // partial-reduction summaries all cross process boundaries as JSON, and all
 // of them must round-trip IEEE-754 doubles *exactly* — the merge law
 // (sharded run ≡ monolithic run, bitwise) depends on it — so numbers are

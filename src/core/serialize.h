@@ -8,7 +8,7 @@
 // just the "local"/"remote" factory strings.
 //
 // PerformanceReport uses the same codec rules; it is the payload of the
-// shard layer's JSONL records and of serialized OffloadPlan summaries, and
+// shard layer's dumped records and of serialized OffloadPlan summaries, and
 // the round trip preserves every breakdown field bitwise.
 #pragma once
 
@@ -33,8 +33,8 @@ namespace xr::core {
 [[nodiscard]] PerformanceReport report_from_json(const Json& j);
 
 /// Breakdown-level codecs — the report codec is built from these, and the
-/// shard layer's JSONL record hot path writes them directly (one line per
-/// grid point; no intermediate report document to copy from).
+/// shard layer's record_line writes them directly (one line per grid
+/// point; no intermediate report document to copy from).
 [[nodiscard]] Json to_json(const LatencyBreakdown& l);
 [[nodiscard]] LatencyBreakdown latency_breakdown_from_json(const Json& j);
 [[nodiscard]] Json to_json(const EnergyBreakdown& e);

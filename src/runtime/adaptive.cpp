@@ -174,9 +174,9 @@ std::vector<PointEstimate> coarse_estimates_from_records(
   std::vector<char> seen(grid_size, 0);
   std::size_t covered = 0;
   for (const auto& path : paths) {
-    const auto source = shard::open_record_source(path);
+    shard::RecordSource source(path);
     shard::ParsedRecord r;
-    while (source->next(r)) {
+    while (source.next(r)) {
       if (!r.gt)
         throw std::invalid_argument(
             "coarse_estimates_from_records: record without a ground-truth "

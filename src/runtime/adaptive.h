@@ -105,8 +105,7 @@ struct RefinementSet {
 };
 
 /// Parse coarse record streams (any disjoint complete cover of the grid,
-/// e.g. the K pass-1 shard record files, .jsonl or .xrb in any mix —
-/// format autodetected per path) into the per-point estimates the
+/// e.g. the K pass-1 shard .xrb files) into the per-point estimates the
 /// selection rule consumes. Every record must carry a ground-truth
 /// measurement; throws on missing/duplicate indices or coverage gaps.
 [[nodiscard]] std::vector<PointEstimate> coarse_estimates_from_records(

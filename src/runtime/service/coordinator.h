@@ -14,8 +14,8 @@
 //     prefix, and the checkpoint/resume machinery (PR 2/8) makes that
 //     byte-identical to an uninterrupted run;
 //   * merging is the PR 2 merge law — each completed shard folds through
-//     partial_from_records (the PR 8 RecordSource seam, so JSONL and
-//     binary shards fold alike) the moment its lease_complete arrives,
+//     partial_from_records (the .xrb stream's column fold) the moment
+//     its lease_complete arrives,
 //     and merge_partials over the K folds equals the monolithic
 //     run_request bitwise;
 //   * attempt-numbered stems (shard<k>.a<n>) keep a revoked-but-alive

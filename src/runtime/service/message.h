@@ -91,8 +91,8 @@ struct LeaseGrantBody {
   std::size_t attempt = 0;      ///< reassignment generation of this lease.
   std::size_t shard_count = 1;  ///< the partition's fixed shard count.
   shard::ShardStrategy strategy = shard::ShardStrategy::kRange;
-  /// This attempt's output stem (the worker streams to
-  /// record_path(output, request format) + <output>.partial.json).
+  /// This attempt's output stem (the worker streams to <output>.xrb +
+  /// <output>.partial.json).
   std::string output;
   /// Previous attempt's stem after a reassignment ("" on attempt 0): the
   /// worker copies its surviving record stream/checkpoint forward and
@@ -121,7 +121,7 @@ struct HeartbeatBody {
 struct LeaseCompleteBody {
   std::size_t lease = 0;
   std::size_t attempt = 0;
-  std::string records_path;  ///< the complete record stream (either format).
+  std::string records_path;  ///< the complete <output>.xrb record stream.
   std::size_t records = 0;   ///< records in the stream.
 
   [[nodiscard]] core::Json to_json() const;

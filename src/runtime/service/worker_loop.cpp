@@ -49,7 +49,7 @@ std::uint64_t now_ms() {
 /// is fine too (the resume scan truncates it).
 void copy_attempt_forward(const std::string& from_stem,
                           const std::string& to_stem) {
-  static const char* kSuffixes[] = {".jsonl", ".xrb", ".partial.json"};
+  static const char* kSuffixes[] = {".xrb", ".partial.json"};
   for (const char* suffix : kSuffixes) {
     std::error_code ec;
     const fs::path src = from_stem + suffix;
@@ -66,7 +66,7 @@ void copy_attempt_forward(const std::string& from_stem,
 /// repair move when a stem turns out poisoned — re-evaluation from empty
 /// is byte-identical by the resume law, merely wasteful.
 void remove_attempt_files(const std::string& stem) {
-  static const char* kSuffixes[] = {".jsonl", ".xrb", ".partial.json",
+  static const char* kSuffixes[] = {".xrb", ".partial.json",
                                     ".partial.json.tmp"};
   for (const char* suffix : kSuffixes) {
     std::error_code ec;
@@ -79,7 +79,7 @@ struct ActiveLease {
   LeaseGrantBody grant;
   shard::WorkerSpec spec;
   /// options.slice_records rounded up to the spec's checkpoint chunk —
-  /// binary streams accept only chunk-aligned resume prefixes (the
+  /// record streams accept only chunk-aligned resume prefixes (the
   /// byte-identity-on-the-chunk-grid rule of binary_stream.h), so a slice
   /// that stopped mid-chunk would be truncated by the next slice's resume
   /// scan and re-evaluated forever.

@@ -1,5 +1,6 @@
 #include "runtime/shard/binary_stream.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -163,6 +164,23 @@ struct ChunkHeader {
   std::uint64_t checksum = 0;
 };
 
+/// The chunk header is outside the checksum: refuse a record_count the
+/// payload cannot hold before anything is sized from it. Every record
+/// takes at least its fixed columns (full shape: index, 13 latency and 14
+/// energy columns, flags, sensor count; plus the total_sensors word).
+void check_record_count(std::uint64_t m, std::size_t payload_bytes,
+                        bool ground_truth, bool metrics_only,
+                        const std::string& path) {
+  const std::size_t per_record =
+      8 * ((metrics_only ? 3 : 30) + (ground_truth ? 6 : 0));
+  const std::size_t fixed = metrics_only ? 0 : 8;
+  if (payload_bytes < fixed || m > (payload_bytes - fixed) / per_record)
+    throw std::runtime_error(
+        "binary record stream: corrupt chunk in " + path + " (record count " +
+        std::to_string(m) + " exceeds what its " +
+        std::to_string(payload_bytes) + "-byte payload holds)");
+}
+
 std::string encode_chunk_payload(
     const std::vector<ParsedRecord>& records, bool ground_truth,
     bool metrics_only) {
@@ -249,8 +267,9 @@ std::string encode_chunk_payload(
 }
 
 std::vector<ParsedRecord> decode_chunk_payload(
-    const std::vector<unsigned char>& payload, std::size_t m,
+    const std::vector<unsigned char>& payload, std::uint64_t m,
     bool ground_truth, bool metrics_only, const std::string& path) {
+  check_record_count(m, payload.size(), ground_truth, metrics_only, path);
   std::vector<ParsedRecord> records(m);
   Cursor c{payload.data(), payload.data() + payload.size(), path};
   for (auto& r : records) r.index = c.take_u64();
@@ -304,6 +323,10 @@ std::vector<ParsedRecord> decode_chunk_payload(
       r.report.energy.cooperation_in_total = (flags & 2ull) != 0;
     }
     const std::uint64_t total_sensors = c.take_u64();
+    if (total_sensors > payload.size() / 8)
+      throw std::runtime_error("binary record stream: corrupt chunk in " +
+                               path +
+                               " (sensor total exceeds the payload)");
     std::uint64_t counted = 0;
     for (auto& r : records) {
       const std::uint64_t n = c.take_u64();
@@ -322,10 +345,10 @@ std::vector<ParsedRecord> decode_chunk_payload(
     for (auto& r : records)
       for (auto& s : r.report.sensors) {
         const std::uint64_t len = c.take_u64();
-        if (len > payload.size())
+        if (len > payload.size() - names_bytes)
           throw std::runtime_error(
               "binary record stream: corrupt chunk in " + path +
-              " (sensor name overruns payload)");
+              " (sensor names overrun payload)");
         s.name.resize(len);
         names_bytes += len;
       }
@@ -359,20 +382,23 @@ std::vector<ParsedRecord> decode_chunk_payload(
 }
 
 /// Read one chunk header+payload. Returns false at a clean end of stream.
-/// `tolerate_tear` (the resume scan) turns a short header/payload into a
-/// clean stop instead of a "torn" error; corruption throws either way.
+/// `bytes_left` is what the file holds past the current position; a
+/// declared payload_bytes beyond it is a tear, so nothing is allocated
+/// from a size the file cannot back. `tolerate_tear` (the resume scan)
+/// turns a short header/payload into a clean stop instead of a "torn"
+/// error; corruption throws either way.
 bool read_chunk(std::ifstream& in, const std::string& path,
-                bool tolerate_tear, ChunkHeader& header,
-                std::vector<unsigned char>& payload) {
+                bool tolerate_tear, std::uint64_t& bytes_left,
+                ChunkHeader& header, std::vector<unsigned char>& payload) {
+  if (bytes_left == 0) return false;
   unsigned char raw[kBinaryChunkHeaderBytes];
   in.read(reinterpret_cast<char*>(raw), kBinaryChunkHeaderBytes);
-  const std::size_t got = static_cast<std::size_t>(in.gcount());
-  if (got == 0) return false;
-  if (got < kBinaryChunkHeaderBytes) {
+  if (static_cast<std::size_t>(in.gcount()) < kBinaryChunkHeaderBytes) {
     if (tolerate_tear) return false;
     throw std::runtime_error("binary record stream: torn chunk header in " +
                              path);
   }
+  bytes_left -= std::min<std::uint64_t>(bytes_left, kBinaryChunkHeaderBytes);
   Cursor c{raw, raw + kBinaryChunkHeaderBytes, path};
   if (c.take_u64() != kChunkMagic)
     throw std::runtime_error("binary record stream: corrupt chunk in " +
@@ -383,6 +409,13 @@ bool read_chunk(std::ifstream& in, const std::string& path,
   if (header.payload_bytes % 8 != 0)
     throw std::runtime_error("binary record stream: corrupt chunk in " +
                              path + " (payload not 8-byte aligned)");
+  if (header.payload_bytes > bytes_left) {
+    if (tolerate_tear) return false;
+    throw std::runtime_error(
+        "binary record stream: torn chunk payload in " + path + " (" +
+        std::to_string(header.payload_bytes) + " bytes declared, " +
+        std::to_string(bytes_left) + " left in the file)");
+  }
   payload.resize(header.payload_bytes);
   in.read(reinterpret_cast<char*>(payload.data()),
           static_cast<std::streamsize>(header.payload_bytes));
@@ -391,158 +424,25 @@ bool read_chunk(std::ifstream& in, const std::string& path,
     throw std::runtime_error("binary record stream: torn chunk payload in " +
                              path);
   }
+  bytes_left -= header.payload_bytes;
   if (fnv1a_bytes(payload.data(), payload.size()) != header.checksum)
     throw std::runtime_error("binary record stream: corrupt chunk in " +
                              path + " (checksum mismatch)");
   return true;
 }
 
-// ---- sink --------------------------------------------------------------
+/// Bytes in the file past its header (0 when the size cannot be read; the
+/// header read has already failed then).
+std::uint64_t bytes_after_header(const std::string& path) {
+  std::error_code ec;
+  const std::uint64_t size = std::filesystem::file_size(path, ec);
+  return ec || size < kBinaryFileHeaderBytes ? 0
+                                             : size - kBinaryFileHeaderBytes;
+}
 
-class BinarySink final : public RecordSink {
- public:
-  BinarySink(std::string path, const RecordStreamConfig& config,
-             const ShardIdentity& id, const std::size_t* resume_valid_bytes)
-      : path_(std::move(path)), config_(config) {
-    // A recovery below one full header means the stream never became
-    // valid — rewrite it fresh, header included.
-    if (resume_valid_bytes && *resume_valid_bytes >= kBinaryFileHeaderBytes) {
-      std::error_code ec;
-      if (std::filesystem::exists(path_, ec))
-        std::filesystem::resize_file(path_, *resume_valid_bytes);
-      file_ = std::fopen(path_.c_str(), "ab");
-      if (!file_)
-        throw std::runtime_error("RecordSink: cannot open " + path_);
-    } else {
-      file_ = std::fopen(path_.c_str(), "wb");
-      if (!file_)
-        throw std::runtime_error("RecordSink: cannot open " + path_);
-      const std::string header =
-          encode_header(id, config_.ground_truth, config_.metrics_only);
-      if (std::fwrite(header.data(), 1, header.size(), file_) !=
-              header.size() ||
-          std::fflush(file_) != 0)
-        throw std::runtime_error("RecordSink: cannot write header to " +
-                                 path_);
-    }
-    pending_.reserve(config_.chunk_records);
-  }
-
-  ~BinarySink() override {
-    if (file_) std::fclose(file_);
-  }
-
-  void append(std::size_t global_index,
-              const core::PerformanceReport& report,
-              const GtMeasurement* gt) override {
-    if (config_.ground_truth && !gt)
-      throw std::invalid_argument(
-          "RecordSink: ground-truth binary stream fed a record without a "
-          "measurement");
-    ParsedRecord r;
-    r.index = global_index;
-    r.slim = config_.metrics_only;
-    if (config_.metrics_only) {
-      r.report.latency.total = report.latency.total;
-      r.report.energy.total = report.energy.total;
-    } else {
-      r.report = report;
-    }
-    if (gt) r.gt = *gt;
-    pending_.push_back(std::move(r));
-  }
-
-  std::size_t flush() override {
-    std::size_t bytes = 0;
-    if (!pending_.empty()) {
-      const std::string payload = encode_chunk_payload(
-          pending_, config_.ground_truth, config_.metrics_only);
-      std::string frame;
-      frame.reserve(kBinaryChunkHeaderBytes + payload.size());
-      put_u64(frame, kChunkMagic);
-      put_u64(frame, pending_.size());
-      put_u64(frame, payload.size());
-      put_u64(frame,
-              fnv1a_bytes(
-                  reinterpret_cast<const unsigned char*>(payload.data()),
-                  payload.size()));
-      frame += payload;
-      if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size())
-        throw std::runtime_error("RecordSink: short write to " + path_);
-      bytes = frame.size();
-      pending_.clear();
-    }
-    if (std::fflush(file_) != 0)
-      throw std::runtime_error("RecordSink: flush failed for " + path_);
-    return bytes;
-  }
-
-  [[nodiscard]] const std::string& path() const noexcept override {
-    return path_;
-  }
-  [[nodiscard]] RecordFormat format() const noexcept override {
-    return RecordFormat::kBinary;
-  }
-
- private:
-  std::string path_;
-  RecordStreamConfig config_;
-  std::FILE* file_ = nullptr;
-  std::vector<ParsedRecord> pending_;
-};
-
-// ---- source ------------------------------------------------------------
-
-class BinarySource final : public RecordSource {
- public:
-  explicit BinarySource(std::string path)
-      : path_(std::move(path)), in_(path_, std::ios::binary) {
-    if (!in_)
-      throw std::runtime_error("RecordSource: cannot open " + path_);
-    const std::optional<BinaryHeaderInfo> header =
-        try_read_header(in_, path_);
-    if (!header)
-      throw std::runtime_error(
-          "binary record stream: missing or truncated header in " + path_);
-    info_ = *header;
-  }
-
-  bool next(ParsedRecord& out) override {
-    while (cursor_ >= decoded_.size()) {
-      ChunkHeader header;
-      std::vector<unsigned char> payload;
-      if (!read_chunk(in_, path_, /*tolerate_tear=*/false, header, payload))
-        return false;
-      decoded_ = decode_chunk_payload(payload, header.record_count,
-                                      info_.ground_truth, info_.metrics_only,
-                                      path_);
-      cursor_ = 0;
-    }
-    out = decoded_[cursor_++];
-    return true;
-  }
-
-  [[nodiscard]] const std::string& path() const noexcept override {
-    return path_;
-  }
-  [[nodiscard]] RecordFormat format() const noexcept override {
-    return RecordFormat::kBinary;
-  }
-
- private:
-  std::string path_;
-  std::ifstream in_;
-  BinaryHeaderInfo info_;
-  std::vector<ParsedRecord> decoded_;
-  std::size_t cursor_ = 0;
-};
-
-}  // namespace
-
-// ---- public entry points -----------------------------------------------
-
-BinaryHeaderInfo read_binary_header(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+/// Open a complete stream for a strict read: the file and its header must
+/// both be there.
+BinaryHeaderInfo open_strict(std::ifstream& in, const std::string& path) {
   if (!in)
     throw std::runtime_error("binary record stream: cannot open " + path);
   const std::optional<BinaryHeaderInfo> header = try_read_header(in, path);
@@ -552,11 +452,120 @@ BinaryHeaderInfo read_binary_header(const std::string& path) {
   return *header;
 }
 
+}  // namespace
+
+// ---- sink --------------------------------------------------------------
+
+RecordSink::RecordSink(const SinkOptions& options, const ShardIdentity& id,
+                       const std::size_t* resume_valid_bytes)
+    : path_(record_path(options.output_stem)),
+      ground_truth_(options.ground_truth),
+      metrics_only_(options.metrics_only) {
+  // A recovery below one full header means the stream never became
+  // valid — rewrite it fresh, header included.
+  if (resume_valid_bytes && *resume_valid_bytes >= kBinaryFileHeaderBytes) {
+    std::error_code ec;
+    if (std::filesystem::exists(path_, ec))
+      std::filesystem::resize_file(path_, *resume_valid_bytes);
+    file_ = std::fopen(path_.c_str(), "ab");
+    if (!file_) throw std::runtime_error("RecordSink: cannot open " + path_);
+  } else {
+    file_ = std::fopen(path_.c_str(), "wb");
+    if (!file_) throw std::runtime_error("RecordSink: cannot open " + path_);
+    const std::string header =
+        encode_header(id, ground_truth_, metrics_only_);
+    if (std::fwrite(header.data(), 1, header.size(), file_) !=
+            header.size() ||
+        std::fflush(file_) != 0) {
+      std::fclose(file_);
+      throw std::runtime_error("RecordSink: cannot write header to " + path_);
+    }
+  }
+  pending_.reserve(std::max<std::size_t>(options.chunk_records, 1));
+}
+
+RecordSink::~RecordSink() { std::fclose(file_); }
+
+void RecordSink::append(std::size_t global_index,
+                        const core::PerformanceReport& report,
+                        const GtMeasurement* gt) {
+  if (ground_truth_ && !gt)
+    throw std::invalid_argument(
+        "RecordSink: ground-truth stream fed a record without a "
+        "measurement");
+  ParsedRecord r;
+  r.index = global_index;
+  r.slim = metrics_only_;
+  if (metrics_only_) {
+    r.report.latency.total = report.latency.total;
+    r.report.energy.total = report.energy.total;
+  } else {
+    r.report = report;
+  }
+  if (gt) r.gt = *gt;
+  pending_.push_back(std::move(r));
+}
+
+std::size_t RecordSink::flush() {
+  std::size_t bytes = 0;
+  if (!pending_.empty()) {
+    const std::string payload =
+        encode_chunk_payload(pending_, ground_truth_, metrics_only_);
+    std::string frame;
+    frame.reserve(kBinaryChunkHeaderBytes + payload.size());
+    put_u64(frame, kChunkMagic);
+    put_u64(frame, pending_.size());
+    put_u64(frame, payload.size());
+    put_u64(frame, fnv1a_bytes(
+                       reinterpret_cast<const unsigned char*>(payload.data()),
+                       payload.size()));
+    frame += payload;
+    if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size())
+      throw std::runtime_error("RecordSink: short write to " + path_);
+    bytes = frame.size();
+    pending_.clear();
+  }
+  if (std::fflush(file_) != 0)
+    throw std::runtime_error("RecordSink: flush failed for " + path_);
+  return bytes;
+}
+
+// ---- source ------------------------------------------------------------
+
+RecordSource::RecordSource(std::string path)
+    : path_(std::move(path)),
+      in_(path_, std::ios::binary),
+      bytes_left_(bytes_after_header(path_)),
+      info_(open_strict(in_, path_)) {}
+
+bool RecordSource::next(ParsedRecord& out) {
+  while (cursor_ >= decoded_.size()) {
+    ChunkHeader header;
+    std::vector<unsigned char> payload;
+    if (!read_chunk(in_, path_, /*tolerate_tear=*/false, bytes_left_, header,
+                    payload))
+      return false;
+    decoded_ = decode_chunk_payload(payload, header.record_count,
+                                    info_.ground_truth, info_.metrics_only,
+                                    path_);
+    cursor_ = 0;
+  }
+  out = decoded_[cursor_++];
+  return true;
+}
+
+// ---- scans and folds ---------------------------------------------------
+
+BinaryHeaderInfo read_binary_header(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return open_strict(in, path);
+}
+
 BinaryRecovery scan_binary_prefix(
-    const std::string& path, const RecordStreamConfig& config,
-    const ShardIdentity& id, const ShardPlan& plan,
+    const SinkOptions& options, const ShardIdentity& id, const ShardPlan& plan,
     const std::function<void(const ParsedRecord&)>& fold) {
   BinaryRecovery rec;
+  const std::string path = record_path(options.output_stem);
   std::ifstream in(path, std::ios::binary);
   if (!in) return rec;
   const std::optional<BinaryHeaderInfo> header = try_read_header(in, path);
@@ -574,69 +583,58 @@ BinaryRecovery scan_binary_prefix(
         "binary record stream: " + path +
         " carries a different shard identity or sweep fingerprint than the "
         "resuming spec; refusing to resume");
-  // A shape mismatch mirrors the JSONL scan's slim-vs-metrics rule: the
-  // stream belongs to a different run configuration of the same sweep, so
-  // resume rewrites it rather than mixing shapes.
-  if (header->ground_truth != config.ground_truth ||
-      header->metrics_only != config.metrics_only)
+  // A shape mismatch means the stream belongs to a different run
+  // configuration of the same sweep, so resume rewrites it rather than
+  // mixing shapes.
+  if (header->ground_truth != options.ground_truth ||
+      header->metrics_only != options.metrics_only)
     return BinaryRecovery{};
 
   const std::size_t shard_n = plan.shard_size(id.shard_id);
-  std::size_t offset = kBinaryFileHeaderBytes;
-  rec.valid_bytes = offset;
+  const std::size_t full = std::max<std::size_t>(options.chunk_records, 1);
+  std::uint64_t bytes_left = bytes_after_header(path);
+  rec.valid_bytes = kBinaryFileHeaderBytes;
   ChunkHeader chunk;
   std::vector<unsigned char> payload;
   while (rec.records < shard_n &&
-         read_chunk(in, path, /*tolerate_tear=*/true, chunk, payload)) {
-    // Chunk-grid acceptance keeps resumed files byte-identical to clean
-    // runs: only full chunks count, plus an undersized final chunk that
-    // completes the shard. A valid undersized tail that does NOT complete
-    // the shard is dropped (≤ chunk_records - 1 records re-evaluated —
-    // within the lose-at-most-one-chunk contract).
-    const std::size_t full = std::max<std::size_t>(config.chunk_records, 1);
-    if (chunk.record_count != full &&
-        rec.records + chunk.record_count != shard_n)
-      break;
-    if (rec.records + chunk.record_count > shard_n) break;
+         read_chunk(in, path, /*tolerate_tear=*/true, bytes_left, chunk,
+                    payload)) {
+    // Decode first: a byte-complete chunk whose count disagrees with its
+    // payload is corruption, not an undersized tail to drop.
     const std::vector<ParsedRecord> records =
         decode_chunk_payload(payload, chunk.record_count,
-                             header->ground_truth, header->metrics_only,
-                             path);
-    bool aligned = true;
+                             header->ground_truth, header->metrics_only, path);
+    // Chunk-grid acceptance keeps resumed files byte-identical to clean
+    // runs: only full chunks count, plus an undersized final chunk that
+    // completes the shard.
+    if (records.size() != full && rec.records + records.size() != shard_n)
+      break;
+    if (rec.records + records.size() > shard_n) break;
     for (std::size_t k = 0; k < records.size(); ++k)
-      if (records[k].index !=
-          plan.global_index(id.shard_id, rec.records + k)) {
-        aligned = false;
-        break;
-      }
-    if (!aligned) break;  // foreign indices: resume re-evaluates from here
+      if (records[k].index != plan.global_index(id.shard_id, rec.records + k))
+        return rec;  // foreign indices: resume re-evaluates from here
     for (const ParsedRecord& r : records) fold(r);
     rec.records += records.size();
-    offset += kBinaryChunkHeaderBytes + chunk.payload_bytes;
-    rec.valid_bytes = offset;
+    rec.valid_bytes += kBinaryChunkHeaderBytes + chunk.payload_bytes;
   }
   return rec;
 }
 
 PartialReduction fold_binary_partial(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw std::runtime_error("binary record stream: cannot open " + path);
-  const std::optional<BinaryHeaderInfo> header = try_read_header(in, path);
-  if (!header)
-    throw std::runtime_error(
-        "binary record stream: missing or truncated header in " + path);
-  PartialReduction partial(header->id, header->ground_truth);
+  const BinaryHeaderInfo header = open_strict(in, path);
+  std::uint64_t bytes_left = bytes_after_header(path);
+  PartialReduction partial(header.id, header.ground_truth);
   ChunkHeader chunk;
   std::vector<unsigned char> payload;
-  while (read_chunk(in, path, /*tolerate_tear=*/false, chunk, payload)) {
+  while (read_chunk(in, path, /*tolerate_tear=*/false, bytes_left, chunk,
+                    payload)) {
     // Feed add() straight from the decoded columns — no PerformanceReport
     // or sensor rehydration on the merge path.
+    check_record_count(chunk.record_count, payload.size(), header.ground_truth,
+                       header.metrics_only, path);
     const std::size_t m = chunk.record_count;
     const std::size_t col = m * 8;
-    if (payload.size() < col)
-      throw std::runtime_error("binary record stream: corrupt chunk in " +
-                               path + " (payload shorter than its columns)");
     const unsigned char* base = payload.data();
     const auto u64_at = [&](std::size_t byte_offset, std::size_t i) {
       std::uint64_t v;
@@ -658,7 +656,7 @@ PartialReduction fold_binary_partial(const std::string& path) {
     };
     // Column offsets (bytes from payload start); see binary_stream.h.
     std::size_t lat_total_off, en_total_off, gt_off;
-    if (header->metrics_only) {
+    if (header.metrics_only) {
       lat_total_off = col;           // the single latency column
       en_total_off = col + col;      // the single energy column
       gt_off = 3 * col;
@@ -673,25 +671,25 @@ PartialReduction fold_binary_partial(const std::string& path) {
       const std::size_t name_len_off = s_off + 8 + col;
       for (std::uint64_t k = 0; k < S; ++k) {
         const std::uint64_t len = u64_at(name_len_off, k);
-        if (len > chunk.payload_bytes)
+        if (len > payload.size() - names_bytes)
           throw std::runtime_error(
               "binary record stream: corrupt chunk in " + path +
-              " (sensor name overruns payload)");
+              " (sensor names overrun payload)");
         names_bytes += len;
       }
       gt_off = name_len_off + S * 8 + padded8(names_bytes) + 3 * S * 8 +
                S * 8;
     }
     const std::size_t expected =
-        (header->metrics_only ? 3 * col : gt_off) +
-        (header->ground_truth ? 6 * col : 0);
+        (header.metrics_only ? 3 * col : gt_off) +
+        (header.ground_truth ? 6 * col : 0);
     if (payload.size() != expected)
       throw std::runtime_error("binary record stream: corrupt chunk in " +
                                path +
                                " (payload size disagrees with its columns)");
     for (std::size_t i = 0; i < m; ++i) {
       const std::size_t index = u64_at(0, i);
-      if (header->ground_truth) {
+      if (header.ground_truth) {
         GtMeasurement gt;
         gt.seed = u64_at(gt_off, i);
         gt.frames = u64_at(gt_off + col, i);
@@ -706,17 +704,6 @@ PartialReduction fold_binary_partial(const std::string& path) {
     }
   }
   return partial;
-}
-
-std::unique_ptr<RecordSink> open_binary_sink(
-    std::string path, const RecordStreamConfig& config,
-    const ShardIdentity& id, const std::size_t* resume_valid_bytes) {
-  return std::make_unique<BinarySink>(std::move(path), config, id,
-                                      resume_valid_bytes);
-}
-
-std::unique_ptr<RecordSource> open_binary_source(std::string path) {
-  return std::make_unique<BinarySource>(std::move(path));
 }
 
 }  // namespace xr::runtime::shard

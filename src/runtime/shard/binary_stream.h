@@ -1,4 +1,4 @@
-// The binary columnar record-stream backend ("xrb", RecordFormat::kBinary).
+// The record stream: <stem>.xrb, a binary columnar file.
 //
 // Layout (all integers and doubles little-endian, every block 8-byte
 // aligned so a complete stream can be mmap'd and folded in place):
@@ -38,40 +38,49 @@
 //       f64  mean_latency_ms[m], mean_energy_mj[m],
 //            latency_error_pct[m], energy_error_pct[m]
 //
-// Crash/corruption taxonomy (the resume scan and S1 fuzz contract):
-//   * fewer bytes than a chunk header, or a payload shorter than the
-//     header declares — a torn TAIL from a kill; the scan truncates it.
-//   * wrong chunk magic, checksum mismatch, or a payload/record-count
-//     disagreement on a byte-complete chunk — CORRUPTION; named error.
-//   * wrong file magic/version, or a header identity/fingerprint that
-//     disagrees with the resuming spec — refused with a named error.
+// Tear taxonomy. The chunk header sits outside the checksum, so every
+// reader checks it against the file and the payload before trusting it:
+//   * fewer bytes than a chunk header, or a payload_bytes larger than the
+//     bytes left in the file — a torn TAIL from a kill. The resume scan
+//     stops there and truncates; strict readers raise a named error.
+//     Nothing is allocated from a declared size the file cannot hold.
+//   * wrong chunk magic, a payload not 8-byte aligned, a checksum
+//     mismatch, or a record_count the payload cannot hold or does not
+//     exactly fill — CORRUPTION; a named error for every reader, the scan
+//     included (record_count is checked before any record is built).
+//   * wrong file magic/version/shape flags, or a header identity or
+//     fingerprint that disagrees with the resuming spec — refused with a
+//     named error (a shape-flag mismatch against the spec instead makes
+//     resume rewrite the stream).
 //
-// Resume keeps the byte-identity law on the chunk grid: the scan accepts
-// only chunks of exactly chunk_records records (plus an undersized final
-// chunk when it completes the shard), so a resumed worker re-flushes on
-// the same chunk boundaries an uninterrupted run would and the bytes come
-// out identical. Dropping a valid undersized tail re-evaluates at most
-// chunk_records - 1 records — within the lose-at-most-one-chunk contract.
+// Chunk grid. Resume keeps the byte-identity law: the scan accepts only
+// chunks of exactly chunk_records records (plus an undersized final chunk
+// when it completes the shard), so a resumed worker re-flushes on the same
+// chunk boundaries an uninterrupted run would and the bytes come out
+// identical. A consistent undersized tail that does not complete the shard
+// is dropped silently, re-evaluating at most chunk_records - 1 records —
+// within the lose-at-most-one-chunk contract.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <functional>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "runtime/shard/record_stream.h"
 
 namespace xr::runtime::shard {
 
-class PartialReduction;  // streaming_sink.h (which includes this header's
-                         // sibling record_stream.h; no cycle)
+class PartialReduction;  // streaming_sink.h (which includes this header)
 class ShardPlan;
 
 inline constexpr std::uint64_t kBinaryVersion = 1;
 inline constexpr std::size_t kBinaryFileHeaderBytes = 64;
 inline constexpr std::size_t kBinaryChunkHeaderBytes = 32;
 
-/// The self-description a binary stream's file header carries.
+/// The self-description a stream's file header carries.
 struct BinaryHeaderInfo {
   ShardIdentity id;
   bool ground_truth = false;
@@ -83,39 +92,83 @@ struct BinaryHeaderInfo {
 /// unsupported version.
 [[nodiscard]] BinaryHeaderInfo read_binary_header(const std::string& path);
 
+/// Append side: encodes records into <options.output_stem>.xrb. append()
+/// buffers; flush() writes the buffer as one chunk and leaves the file a
+/// valid prefix. Throws std::runtime_error on I/O failure.
+class RecordSink {
+ public:
+  /// With `resume_valid_bytes` non-null (and at least a header long) the
+  /// existing file is truncated to that prefix and appended to — the
+  /// scan_existing recovery; otherwise the stream is created fresh,
+  /// header included.
+  RecordSink(const SinkOptions& options, const ShardIdentity& id,
+             const std::size_t* resume_valid_bytes = nullptr);
+  ~RecordSink();
+  RecordSink(const RecordSink&) = delete;
+  RecordSink& operator=(const RecordSink&) = delete;
+
+  /// Buffer one record (`gt` non-null for ground-truth records).
+  void append(std::size_t global_index, const core::PerformanceReport& report,
+              const GtMeasurement* gt);
+  /// Write buffered records as one chunk (no chunk when empty) and
+  /// fflush. Returns the bytes written by this call.
+  std::size_t flush();
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+  bool ground_truth_ = false;
+  bool metrics_only_ = false;
+  std::FILE* file_ = nullptr;
+  std::vector<ParsedRecord> pending_;
+};
+
+/// Read side: decodes a complete stream record by record. next() is
+/// strict — a torn or corrupt stream throws a named std::runtime_error
+/// (readers of complete streams must never silently shorten them); the
+/// tolerant longest-valid-prefix scan for resume is scan_binary_prefix.
+class RecordSource {
+ public:
+  /// Throws std::runtime_error when the file cannot be opened or its
+  /// header is missing or invalid.
+  explicit RecordSource(std::string path);
+
+  /// Decode the next record into `out`. Returns false at a clean end of
+  /// stream.
+  bool next(ParsedRecord& out);
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+  std::ifstream in_;
+  std::uint64_t bytes_left_ = 0;  ///< file bytes not yet consumed.
+  BinaryHeaderInfo info_;
+  std::vector<ParsedRecord> decoded_;
+  std::size_t cursor_ = 0;
+};
+
 /// The longest valid chunk-aligned prefix of an existing stream (resume).
 struct BinaryRecovery {
   std::size_t records = 0;
   std::size_t valid_bytes = 0;  ///< header + accepted chunks.
 };
 
-/// Scan an existing stream for resume: validates the header against
-/// `config`/`id` (mismatched identity/fingerprint/version are named
+/// Scan <options.output_stem>.xrb for resume: validates the header against
+/// `options`/`id` (mismatched identity/fingerprint/version are named
 /// errors; a shape-flag mismatch returns an empty recovery so resume
-/// rewrites, mirroring the JSONL scan), truncates torn tails silently,
-/// throws on mid-file corruption, and applies the chunk-grid acceptance
-/// rule above. `fold` is called once per accepted record in order — the
-/// caller rebuilds its PartialReduction through it. A missing file is an
-/// empty recovery.
+/// rewrites), truncates torn tails silently, throws on corruption, and
+/// applies the chunk-grid rule above. `fold` is called once per accepted
+/// record in order — the caller rebuilds its PartialReduction through it.
+/// A missing file is an empty recovery.
 [[nodiscard]] BinaryRecovery scan_binary_prefix(
-    const std::string& path, const RecordStreamConfig& config,
-    const ShardIdentity& id, const ShardPlan& plan,
+    const SinkOptions& options, const ShardIdentity& id, const ShardPlan& plan,
     const std::function<void(const ParsedRecord&)>& fold);
 
-/// Fold a COMPLETE binary stream straight into a PartialReduction without
+/// Fold a COMPLETE stream straight into a PartialReduction without
 /// rehydrating rows: the identity comes from the file header and add() is
-/// fed directly from the decoded column arrays (no PerformanceReport or
-/// sensor reconstruction). Throws named errors on any tear or corruption
-/// — merge inputs must be complete. This is sweep_merge's record-operand
-/// fast path.
+/// fed directly from the column arrays (no PerformanceReport or sensor
+/// reconstruction). Throws named errors on any tear or corruption — merge
+/// inputs must be complete. This is the merge's record-operand path.
 [[nodiscard]] PartialReduction fold_binary_partial(const std::string& path);
-
-/// Backend factories used by record_stream.cpp (see open_record_sink /
-/// open_record_source for the contracts).
-[[nodiscard]] std::unique_ptr<RecordSink> open_binary_sink(
-    std::string path, const RecordStreamConfig& config,
-    const ShardIdentity& id, const std::size_t* resume_valid_bytes);
-[[nodiscard]] std::unique_ptr<RecordSource> open_binary_source(
-    std::string path);
 
 }  // namespace xr::runtime::shard

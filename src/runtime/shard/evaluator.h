@@ -13,7 +13,7 @@
 //
 // Ground-truth mode runs the testbed-substitute simulator at every point
 // *and* the analytical prediction, and records both plus the model error —
-// the paper's §VII validation quantity — in the JSONL stream.
+// the paper's §VII validation quantity — in the record stream.
 //
 // Determinism contract: each point's simulator seed derives from the
 // sweep seed, the point's *global* grid index, and the fidelity pass

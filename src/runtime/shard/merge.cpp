@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -221,58 +220,21 @@ MergedSummary merge_partials(const std::vector<PartialReduction>& partials,
   return out;
 }
 
-namespace {
-
-/// The sibling checkpoint of a record stream: <stem>.partial.json.
-std::string sibling_checkpoint(const std::string& path, RecordFormat f) {
-  const std::string ext = format_extension(f);
-  return path.substr(0, path.size() - ext.size()) + ".partial.json";
-}
-
-}  // namespace
-
 PartialReduction partial_from_records(const std::string& path) {
-  const std::optional<RecordFormat> f = format_from_path(path);
-  if (!f)
+  if (!is_record_path(path))
     throw std::invalid_argument("partial_from_records: '" + path +
-                                "' carries neither record extension "
-                                "(.jsonl/.xrb)");
-  const std::string checkpoint = sibling_checkpoint(path, *f);
-  std::optional<PartialReduction> prior;
+                                "' is not a .xrb record stream");
+  PartialReduction partial = fold_binary_partial(path);
+  // Throughput stats live only in the checkpoint (they are not part of the
+  // record stream's bitwise identity); a missing or unreadable one leaves
+  // them unset.
   try {
-    prior = PartialReduction::from_json(Json::parse(read_text_file(checkpoint)));
+    const PartialReduction prior = PartialReduction::from_json(Json::parse(
+        read_text_file(path.substr(0, path.size() - kRecordExtension.size()) +
+                       ".partial.json")));
+    partial.wall_ms = prior.wall_ms;
+    partial.threads = prior.threads;
   } catch (const std::exception&) {
-    // Tolerable for binary streams (the header is self-identifying);
-    // fatal for JSONL below.
-  }
-
-  PartialReduction partial;
-  if (*f == RecordFormat::kBinary) {
-    // Identity + shape come from the stream's own header; the fold runs
-    // column-wise with no row rehydration.
-    partial = fold_binary_partial(path);
-  } else {
-    if (!prior)
-      throw std::runtime_error(
-          "partial_from_records: " + path +
-          " needs its sibling checkpoint " + checkpoint +
-          " — a bare .jsonl stream cannot name the sweep it came from");
-    partial = PartialReduction(prior->identity(), prior->ground_truth());
-    const std::unique_ptr<RecordSource> source = open_record_source(path);
-    ParsedRecord r;
-    while (source->next(r)) {
-      if (r.gt)
-        partial.add(r.index, r.gt->mean_latency_ms, r.gt->mean_energy_mj,
-                    &*r.gt);
-      else
-        partial.add(r.index, r.report.latency.total, r.report.energy.total);
-    }
-  }
-  if (prior) {
-    // Throughput stats live only in the checkpoint (they are not part of
-    // the record stream's bitwise identity).
-    partial.wall_ms = prior->wall_ms;
-    partial.threads = prior->threads;
   }
   return partial;
 }
@@ -281,7 +243,7 @@ MergedSummary merge_partial_files(const std::vector<std::string>& paths) {
   std::vector<PartialReduction> partials;
   partials.reserve(paths.size());
   for (const auto& path : paths) {
-    if (format_from_path(path))
+    if (is_record_path(path))
       partials.push_back(partial_from_records(path));
     else
       partials.push_back(

@@ -72,23 +72,19 @@ struct MergedSummary {
     const std::vector<PartialReduction>& partials,
     bool require_complete_cover = true);
 
-/// Rebuild one shard's PartialReduction from its record stream (either
-/// format, autodetected from the extension). Binary streams carry their
-/// own identity in the file header and fold column-wise without
-/// rehydrating rows (binary_stream.h); JSONL streams take their identity
-/// from the sibling <stem>.partial.json checkpoint, which must exist (a
-/// bare .jsonl cannot name the sweep it came from) — missing checkpoint
-/// is a named std::runtime_error. The stream must be complete and valid:
-/// tears and corruption are named errors, never truncation. Worker
-/// throughput stats are carried from the sibling checkpoint when present.
+/// Rebuild one shard's PartialReduction from its <stem>.xrb record
+/// stream: the identity comes from the stream's own header, and the fold
+/// runs column-wise without rehydrating rows (fold_binary_partial). The
+/// stream must be complete and valid: tears and corruption are named
+/// errors, never truncation. Worker throughput stats are carried from the
+/// sibling <stem>.partial.json checkpoint when present.
 [[nodiscard]] PartialReduction partial_from_records(
     const std::string& record_path);
 
 /// Load K shard documents and merge them. Each path is either a
-/// .partial.json checkpoint or a record stream (.jsonl/.xrb, dispatched
-/// through partial_from_records) — the two kinds may be mixed freely, as
-/// may record formats across shards, because a PartialReduction is a pure
-/// function of the decoded totals.
+/// .partial.json checkpoint or a .xrb record stream (folded through
+/// partial_from_records), in any mix, because a PartialReduction is a
+/// pure function of the decoded totals.
 [[nodiscard]] MergedSummary merge_partial_files(
     const std::vector<std::string>& paths);
 

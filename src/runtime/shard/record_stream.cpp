@@ -1,50 +1,31 @@
 #include "runtime/shard/record_stream.h"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "core/serialize.h"
-#include "runtime/shard/binary_stream.h"
 
 namespace xr::runtime::shard {
 
-RecordSink::~RecordSink() = default;
-RecordSource::~RecordSource() = default;
-
-// ---- formats -----------------------------------------------------------
-
-const char* format_name(RecordFormat f) noexcept {
-  return f == RecordFormat::kBinary ? "binary" : "jsonl";
-}
-
 RecordFormat format_from_name(const std::string& name) {
-  if (name == "jsonl") return RecordFormat::kJsonl;
   if (name == "binary") return RecordFormat::kBinary;
+  if (name == "jsonl")
+    throw std::invalid_argument(
+        "record format 'jsonl' is no longer written: records are .xrb "
+        "streams, and `sweep_merge --dump FILE.xrb` prints them as JSON "
+        "lines");
   throw std::invalid_argument("unknown record format '" + name +
-                              "' (expected jsonl|binary)");
+                              "' (expected binary)");
 }
 
-const char* format_extension(RecordFormat f) noexcept {
-  return f == RecordFormat::kBinary ? ".xrb" : ".jsonl";
+std::string record_path(const std::string& stem) {
+  return stem + std::string(kRecordExtension);
 }
 
-std::string record_path(const std::string& stem, RecordFormat f) {
-  return stem + format_extension(f);
+bool is_record_path(std::string_view path) noexcept {
+  return path.size() > kRecordExtension.size() &&
+         path.substr(path.size() - kRecordExtension.size()) ==
+             kRecordExtension;
 }
-
-std::optional<RecordFormat> format_from_path(std::string_view path) {
-  for (RecordFormat f : {RecordFormat::kJsonl, RecordFormat::kBinary}) {
-    const std::string_view ext = format_extension(f);
-    if (path.size() > ext.size() &&
-        path.substr(path.size() - ext.size()) == ext)
-      return f;
-  }
-  return std::nullopt;
-}
-
-// ---- record codec (JSONL encoding) -------------------------------------
 
 std::string record_line(std::size_t global_index,
                         const core::PerformanceReport& report,
@@ -71,170 +52,6 @@ std::string record_line(std::size_t global_index,
     j.set("gt", std::move(g));
   }
   return j.dump();
-}
-
-ParsedRecord parse_record_line(std::string_view line) {
-  const Json j = Json::parse(line);
-  ParsedRecord out;
-  out.index = j.at("i").as_size();
-  if (j.find("latency")) {
-    // Full shape: rebuild the report through the core breakdown codecs.
-    out.report.latency = core::latency_breakdown_from_json(j.at("latency"));
-    out.report.energy = core::energy_breakdown_from_json(j.at("energy"));
-    out.report.sensors = core::sensors_from_json(j.at("sensors"));
-  } else {
-    // Slim (metrics-only) shape: only the totals exist.
-    out.slim = true;
-    out.report.latency.total = j.at("latency_ms").as_double();
-    out.report.energy.total = j.at("energy_mj").as_double();
-  }
-  if (const Json* g = j.find("gt")) {
-    GtMeasurement m;
-    m.seed = parse_hex64(g->at("seed").as_string());
-    m.frames = g->at("frames").as_size();
-    m.mean_latency_ms = g->at("mean_latency_ms").as_double();
-    m.mean_energy_mj = g->at("mean_energy_mj").as_double();
-    m.latency_error_pct = g->at("latency_error_pct").as_double();
-    m.energy_error_pct = g->at("energy_error_pct").as_double();
-    out.gt = m;
-  }
-  return out;
-}
-
-// ---- JSONL backend -----------------------------------------------------
-
-namespace {
-
-class JsonlSink final : public RecordSink {
- public:
-  JsonlSink(std::string path, const RecordStreamConfig& config,
-            const std::size_t* resume_valid_bytes)
-      : path_(std::move(path)), metrics_only_(config.metrics_only) {
-    if (resume_valid_bytes) {
-      // Drop any torn tail, keep the valid prefix, continue appending.
-      std::error_code ec;
-      if (std::filesystem::exists(path_, ec))
-        std::filesystem::resize_file(path_, *resume_valid_bytes);
-      file_ = std::fopen(path_.c_str(), "ab");
-    } else {
-      file_ = std::fopen(path_.c_str(), "wb");
-    }
-    if (!file_)
-      throw std::runtime_error("RecordSink: cannot open " + path_);
-    buffer_.reserve(config.chunk_records * 256);
-  }
-
-  ~JsonlSink() override {
-    if (file_) std::fclose(file_);
-  }
-
-  void append(std::size_t global_index,
-              const core::PerformanceReport& report,
-              const GtMeasurement* gt) override {
-    buffer_ += record_line(global_index, report, gt, metrics_only_);
-    buffer_ += '\n';
-  }
-
-  std::size_t flush() override {
-    const std::size_t bytes = buffer_.size();
-    if (!buffer_.empty()) {
-      if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_) !=
-          buffer_.size())
-        throw std::runtime_error("RecordSink: short write to " + path_);
-      buffer_.clear();
-    }
-    if (std::fflush(file_) != 0)
-      throw std::runtime_error("RecordSink: flush failed for " + path_);
-    return bytes;
-  }
-
-  [[nodiscard]] const std::string& path() const noexcept override {
-    return path_;
-  }
-  [[nodiscard]] RecordFormat format() const noexcept override {
-    return RecordFormat::kJsonl;
-  }
-
- private:
-  std::string path_;
-  bool metrics_only_;
-  std::FILE* file_ = nullptr;
-  std::string buffer_;
-};
-
-class JsonlSource final : public RecordSource {
- public:
-  explicit JsonlSource(std::string path)
-      : path_(std::move(path)), in_(path_, std::ios::binary) {
-    if (!in_)
-      throw std::runtime_error("RecordSource: cannot open " + path_);
-  }
-
-  bool next(ParsedRecord& out) override {
-    std::string line;
-    if (!std::getline(in_, line)) {
-      if (!line.empty())
-        throw std::runtime_error("RecordSource: torn trailing record in " +
-                                 path_);
-      return false;
-    }
-    // getline sets eofbit only when the stream ended without a final
-    // newline — a torn trailing record; strict readers refuse it.
-    if (in_.eof())
-      throw std::runtime_error("RecordSource: torn trailing record in " +
-                               path_);
-    try {
-      out = parse_record_line(line);
-    } catch (const std::exception& e) {
-      throw std::runtime_error("RecordSource: corrupt record in " + path_ +
-                               ": " + e.what());
-    }
-    return true;
-  }
-
-  [[nodiscard]] const std::string& path() const noexcept override {
-    return path_;
-  }
-  [[nodiscard]] RecordFormat format() const noexcept override {
-    return RecordFormat::kJsonl;
-  }
-
- private:
-  std::string path_;
-  std::ifstream in_;
-};
-
-}  // namespace
-
-// ---- factories ---------------------------------------------------------
-
-std::unique_ptr<RecordSink> open_record_sink(
-    const std::string& stem, const RecordStreamConfig& config,
-    const ShardIdentity& id, const std::size_t* resume_valid_bytes) {
-  std::string path = record_path(stem, config.format);
-  if (!resume_valid_bytes) {
-    // Fresh stream: drop a stale sibling of the other format so a stem
-    // never carries two conflicting encodings.
-    const RecordFormat other = config.format == RecordFormat::kJsonl
-                                   ? RecordFormat::kBinary
-                                   : RecordFormat::kJsonl;
-    std::error_code ec;
-    std::filesystem::remove(record_path(stem, other), ec);
-  }
-  if (config.format == RecordFormat::kBinary)
-    return open_binary_sink(std::move(path), config, id, resume_valid_bytes);
-  return std::make_unique<JsonlSink>(std::move(path), config,
-                                     resume_valid_bytes);
-}
-
-std::unique_ptr<RecordSource> open_record_source(const std::string& path) {
-  const std::optional<RecordFormat> f = format_from_path(path);
-  if (!f)
-    throw std::invalid_argument(
-        "open_record_source: '" + path +
-        "' carries neither record extension (.jsonl/.xrb)");
-  if (*f == RecordFormat::kBinary) return open_binary_source(path);
-  return std::make_unique<JsonlSource>(path);
 }
 
 }  // namespace xr::runtime::shard

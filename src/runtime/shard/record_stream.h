@@ -1,39 +1,31 @@
-// Pluggable record sinks/sources — the format-agnostic seam of the shard
-// I/O stack.
+// The shard record model — what every stream writer and reader shares.
 //
-// A shard worker streams one record per evaluated grid point through a
-// RecordSink and every reader (resume scan, merge fold, the adaptive
-// pass-2 copy, sweep_plan's refinement selection) consumes records back
-// through a RecordSource. The encoding behind the seam is a backend:
+// A shard worker streams one record per evaluated grid point into
+// <stem>.xrb, the binary columnar stream of binary_stream.h, and every
+// reader (resume scan, merge fold, the adaptive pass-2 copy, sweep_plan's
+// refinement selection, sweep_merge --dump) decodes the same record model:
+// a global index, a PerformanceReport full or slim, and an optional
+// GtMeasurement. A PartialReduction is a pure function of the decoded
+// totals, so K shards merge bitwise identical to the monolithic run.
 //
-//   * jsonl  — one self-describing JSON line per record (<stem>.jsonl),
-//     doubles in shortest round-trip form; human-greppable, the default.
-//   * binary — the columnar format of binary_stream.h (<stem>.xrb): a
-//     versioned header carrying the ShardIdentity + sweep fingerprint,
-//     then chunk-framed blocks of raw little-endian column arrays.
-//
-// Both backends carry the *same* record model (ParsedRecord below: global
-// index, a PerformanceReport full or slim, an optional GtMeasurement), so
-// every consumer is format-agnostic and the merge law cannot see the
-// encoding: a PartialReduction is a pure function of the decoded totals,
-// hence K binary shards — or any mix of formats across shards — merge
-// bitwise identical to the monolithic JSONL run.
-//
-// Record shapes (identical across backends):
+// Record shapes:
 //
 //   full          {index, LatencyBreakdown, EnergyBreakdown, sensors[]}
 //   metrics-only  {index, latency total, energy total}   (slim)
 //   either + gt   {seed, frames, mean latency/energy, model error %}
 //
+// record_line() renders one record as a JSON line; `sweep_merge --dump`
+// prints a stream through it, so records stay greppable without a second
+// writer.
+//
 // Crash contract: a sink buffers chunk_records records between flushes and
 // each flush leaves the file a valid prefix, so a killed worker loses at
 // most one chunk; StreamingSink::scan_existing recovers the longest valid
-// prefix per the backend's tear rules (a torn *tail* truncates silently,
-// mid-file corruption is a named error — see streaming_sink.h).
+// prefix (a torn *tail* truncates silently, mid-file corruption is a named
+// error — see binary_stream.h).
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -45,24 +37,22 @@
 
 namespace xr::runtime::shard {
 
-// ---- formats -----------------------------------------------------------
+// ---- the record file ---------------------------------------------------
 
-enum class RecordFormat { kJsonl, kBinary };
+/// The one record encoding. Kept as a name so request documents that
+/// spell "format": "binary" still parse (ExecutionSpec::format).
+enum class RecordFormat { kBinary };
 
-[[nodiscard]] const char* format_name(RecordFormat f) noexcept;
-/// Inverse of format_name ("jsonl" | "binary"); throws
-/// std::invalid_argument on unknown names — the sweep_worker --format
-/// values.
+/// "binary" → kBinary. The retired text encoding is refused by a named
+/// std::invalid_argument that points at `sweep_merge --dump`, which prints
+/// a stream as JSON lines; any other name throws std::invalid_argument.
 [[nodiscard]] RecordFormat format_from_name(const std::string& name);
-/// The backend's file extension: ".jsonl" / ".xrb".
-[[nodiscard]] const char* format_extension(RecordFormat f) noexcept;
-/// <stem> + format_extension(f) — the one place the mapping lives.
-[[nodiscard]] std::string record_path(const std::string& stem,
-                                      RecordFormat f);
-/// Autodetect a record stream's format from its path extension; nullopt
-/// when the path carries neither record extension.
-[[nodiscard]] std::optional<RecordFormat> format_from_path(
-    std::string_view path);
+
+inline constexpr std::string_view kRecordExtension = ".xrb";
+/// <stem>.xrb — the one place the mapping lives.
+[[nodiscard]] std::string record_path(const std::string& stem);
+/// True when the path names a record stream (ends in .xrb).
+[[nodiscard]] bool is_record_path(std::string_view path) noexcept;
 
 // ---- identity ----------------------------------------------------------
 
@@ -75,9 +65,9 @@ struct ShardIdentity {
   std::size_t grid_size = 0;
   /// Fingerprint of the grid the records came from (grid_fingerprint() of
   /// the GridSpec for worker-produced documents; 0 when unused). Resume
-  /// refuses a checkpoint whose fingerprint differs — index sequences
-  /// alone cannot tell two same-shape grids apart — and merge refuses to
-  /// fold partials from different grids.
+  /// refuses a stream whose fingerprint differs — index sequences alone
+  /// cannot tell two same-shape grids apart — and merge refuses to fold
+  /// partials from different grids.
   std::uint64_t grid_fingerprint = 0;
 };
 
@@ -90,78 +80,31 @@ struct ParsedRecord {
   bool slim = false;                ///< record was in metrics-only form.
 };
 
-/// Serialize one report as a single JSONL line (no trailing newline).
-/// `gt` (when non-null) appends the ground-truth measurement block.
-/// `metrics_only` emits the slim totals-only shape (see header comment).
+/// Render one record as a single JSON line (no trailing newline), doubles
+/// in shortest round-trip form. `gt` (when non-null) appends the
+/// ground-truth measurement block; `metrics_only` emits the slim
+/// totals-only shape.
 [[nodiscard]] std::string record_line(std::size_t global_index,
                                       const core::PerformanceReport& report,
                                       const GtMeasurement* gt = nullptr,
                                       bool metrics_only = false);
 
-/// Parse one JSONL record line (full or slim shape); throws
-/// std::invalid_argument on malformed input.
-[[nodiscard]] ParsedRecord parse_record_line(std::string_view line);
-
-// ---- sink / source interfaces ------------------------------------------
-
-/// Shared knobs of a record stream, format included. chunk_records bounds
-/// buffering for both backends and is the binary backend's chunk framing
-/// (one frame per flush); the shape flags are stamped into the binary
-/// header and validated by every reader.
-struct RecordStreamConfig {
-  RecordFormat format = RecordFormat::kJsonl;
+/// The knobs of one record stream and its checkpoint.
+struct SinkOptions {
+  /// Files written: <output_stem>.xrb and <output_stem>.partial.json.
+  std::string output_stem;
+  /// Records per chunk: each flush frames one chunk, and resume accepts
+  /// only prefixes on this chunk grid. Also bounds worker memory and the
+  /// checkpoint loss window. 0 is treated as 1.
   std::size_t chunk_records = 64;
+  /// Ground-truth mode: records must carry GtMeasurements, the reduction
+  /// runs over the measured means, and the partial carries a GtAggregate
+  /// (even while empty).
   bool ground_truth = false;
+  /// Metrics mode: write slim totals-only records. The reduction (and so
+  /// the merge law) is unaffected; resume rewrites a stream whose record
+  /// shape disagrees with this flag.
   bool metrics_only = false;
 };
-
-/// Append-side backend: encodes records and owns the stream file. Appends
-/// buffer; flush() writes one chunk and must leave the file a valid
-/// prefix. Implementations throw std::runtime_error on I/O failure.
-class RecordSink {
- public:
-  virtual ~RecordSink();
-  /// Buffer one record (`gt` non-null for ground-truth records).
-  virtual void append(std::size_t global_index,
-                      const core::PerformanceReport& report,
-                      const GtMeasurement* gt) = 0;
-  /// Write buffered records to disk as one chunk (no-op when empty) and
-  /// fflush. Returns the bytes written by this call.
-  virtual std::size_t flush() = 0;
-  [[nodiscard]] virtual const std::string& path() const noexcept = 0;
-  [[nodiscard]] virtual RecordFormat format() const noexcept = 0;
-};
-
-/// Read-side backend: decodes records sequentially. next() is strict —
-/// a torn or corrupt stream throws a named std::runtime_error (readers of
-/// complete streams must never silently shorten them); the tolerant
-/// longest-valid-prefix scan for resume lives in
-/// StreamingSink::scan_existing instead.
-class RecordSource {
- public:
-  virtual ~RecordSource();
-  /// Decode the next record into `out`. Returns false at a clean end of
-  /// stream.
-  virtual bool next(ParsedRecord& out) = 0;
-  [[nodiscard]] virtual const std::string& path() const noexcept = 0;
-  [[nodiscard]] virtual RecordFormat format() const noexcept = 0;
-};
-
-/// Open a sink on record_path(stem, config.format). With
-/// `resume_valid_bytes` non-null the existing file is truncated to that
-/// prefix and appended to (the scan_existing recovery); otherwise the
-/// stream is created fresh (binary: header written) and a stale sibling
-/// stream of the *other* format at the same stem is removed, so a stem
-/// never carries two conflicting encodings.
-[[nodiscard]] std::unique_ptr<RecordSink> open_record_sink(
-    const std::string& stem, const RecordStreamConfig& config,
-    const ShardIdentity& id, const std::size_t* resume_valid_bytes = nullptr);
-
-/// Open a strict source over a complete record stream; the format comes
-/// from the path's extension (throws std::invalid_argument when the path
-/// carries neither record extension, std::runtime_error when the file
-/// cannot be opened or its binary header is invalid).
-[[nodiscard]] std::unique_ptr<RecordSource> open_record_source(
-    const std::string& path);
 
 }  // namespace xr::runtime::shard

@@ -7,9 +7,8 @@
 //   * kRange   — balanced contiguous ranges: shard k owns
 //                [k·q + min(k, r), …) with q = ⌊size/K⌋, r = size mod K.
 //                The first r shards get one extra index. This is the default
-//                and keeps each worker's record stream (JSONL or binary,
-//                record_stream.h) a sorted slice of the monolithic
-//                enumeration.
+//                and keeps each worker's record stream (binary_stream.h)
+//                a sorted slice of the monolithic enumeration.
 //   * kStrided — shard k owns {k, k+K, k+2K, …}. Useful when scenario cost
 //                varies systematically along the grid (e.g. the remote end
 //                of a placement axis simulating more edges) and contiguous

@@ -8,7 +8,6 @@
 
 #include "core/failpoint.h"
 #include "obs/registry.h"
-#include "runtime/shard/binary_stream.h"
 
 namespace xr::runtime::shard {
 
@@ -26,8 +25,8 @@ void tear_file_tail(const std::string& path, std::uint64_t cut) {
 
 /// Chaos helper (shard.sink.flush corrupt): overwrite one byte `back`
 /// from the end with NUL (or 0xFF when it already is NUL) — bit rot that
-/// no writer-side check can see. NUL is unparseable in a JSONL stream and
-/// breaks a binary chunk's checksum, so strict readers must reject it.
+/// no writer-side check can see. The flipped byte breaks the last chunk's
+/// checksum, so strict readers must reject it.
 void corrupt_file_tail(const std::string& path, std::uint64_t back) {
   std::error_code ec;
   const std::uint64_t size = std::filesystem::file_size(path, ec);
@@ -273,92 +272,13 @@ PartialReduction PartialReduction::from_json(const Json& j) {
 
 // ---- the sink ----------------------------------------------------------
 
-namespace {
-
-/// S3: an existing stream in the other format at the same stem means the
-/// operator is resuming with the wrong --format — refuse by name rather
-/// than leaving the stem carrying two conflicting encodings.
-void refuse_cross_format(const SinkOptions& options) {
-  const RecordFormat other = options.format == RecordFormat::kJsonl
-                                 ? RecordFormat::kBinary
-                                 : RecordFormat::kJsonl;
-  const std::string sibling = record_path(options.output_stem, other);
-  std::error_code ec;
-  if (std::filesystem::exists(sibling, ec))
-    throw std::runtime_error(
-        "StreamingSink: cross-format resume refused: found " + sibling +
-        " but the spec requests " + format_name(options.format) +
-        " records");
-}
-
-StreamingSink::Recovery scan_existing_jsonl(const SinkOptions& options,
-                                            const ShardIdentity& id,
-                                            const ShardPlan& plan) {
-  StreamingSink::Recovery rec;
+StreamingSink::Recovery StreamingSink::scan_existing(
+    const SinkOptions& options, const ShardIdentity& id,
+    const ShardPlan& plan) {
+  Recovery rec;
   rec.partial = PartialReduction(id, options.ground_truth);
-  const std::string path =
-      record_path(options.output_stem, RecordFormat::kJsonl);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return rec;
-
-  const std::size_t shard_n = plan.shard_size(id.shard_id);
-  std::string line;
-  std::size_t offset = 0;
-  while (rec.records < shard_n && std::getline(in, line)) {
-    // getline sets eofbit only when the stream ended without a final
-    // newline — exactly a torn trailing line from a killed worker.
-    if (in.eof()) break;
-    ParsedRecord r;
-    try {
-      r = parse_record_line(line);
-    } catch (const std::exception&) {
-      // A newline-terminated line that does not parse cannot be a tear (a
-      // kill cuts the final fwrite mid-line, never behind a newline) — the
-      // file is corrupt mid-stream, and silently truncating here would
-      // discard the valid suffix behind it.
-      throw std::runtime_error(
-          "StreamingSink: corrupt record mid-stream in " + path +
-          " (line " + std::to_string(rec.records + 1) +
-          "); refusing to truncate");
-    }
-    try {
-      if (r.index != plan.global_index(id.shard_id, rec.records)) break;
-      // A stream whose record shape disagrees with the sink's metrics mode
-      // belongs to a different run configuration; cut the scan so resume
-      // rewrites rather than mixing shapes in one file.
-      if (r.slim != options.metrics_only) break;
-      // In GT mode the reduction runs over the measurements; add() also
-      // rejects records whose kind disagrees with the sink's mode, which
-      // cuts the scan exactly like a shape mismatch would.
-      if (r.gt)
-        rec.partial.add(r.index, r.gt->mean_latency_ms, r.gt->mean_energy_mj,
-                        &*r.gt);
-      else
-        rec.partial.add(r.index, r.report.latency.total,
-                        r.report.energy.total);
-    } catch (const std::exception&) {
-      break;  // kind mismatch: resume re-evaluates from here
-    }
-    ++rec.records;
-    offset += line.size() + 1;
-    rec.valid_bytes = offset;
-  }
-  return rec;
-}
-
-StreamingSink::Recovery scan_existing_binary(const SinkOptions& options,
-                                             const ShardIdentity& id,
-                                             const ShardPlan& plan) {
-  StreamingSink::Recovery rec;
-  rec.partial = PartialReduction(id, options.ground_truth);
-  RecordStreamConfig config;
-  config.format = RecordFormat::kBinary;
-  config.chunk_records = options.chunk_records;
-  config.ground_truth = options.ground_truth;
-  config.metrics_only = options.metrics_only;
-  const BinaryRecovery bin = scan_binary_prefix(
-      record_path(options.output_stem, RecordFormat::kBinary), config, id,
-      plan, [&rec](const ParsedRecord& r) {
+  const BinaryRecovery scanned = scan_binary_prefix(
+      options, id, plan, [&rec](const ParsedRecord& r) {
         if (r.gt)
           rec.partial.add(r.index, r.gt->mean_latency_ms,
                           r.gt->mean_energy_mj, &*r.gt);
@@ -366,42 +286,27 @@ StreamingSink::Recovery scan_existing_binary(const SinkOptions& options,
           rec.partial.add(r.index, r.report.latency.total,
                           r.report.energy.total);
       });
-  rec.records = bin.records;
-  rec.valid_bytes = bin.valid_bytes;
+  rec.records = scanned.records;
+  rec.valid_bytes = scanned.valid_bytes;
   return rec;
+}
+
+namespace {
+
+SinkOptions normalized(SinkOptions options) {
+  if (options.chunk_records == 0) options.chunk_records = 1;
+  return options;
 }
 
 }  // namespace
 
-StreamingSink::Recovery StreamingSink::scan_existing(
-    const SinkOptions& options, const ShardIdentity& id,
-    const ShardPlan& plan) {
-  refuse_cross_format(options);
-  SinkOptions normalized = options;
-  if (normalized.chunk_records == 0) normalized.chunk_records = 1;
-  return options.format == RecordFormat::kBinary
-             ? scan_existing_binary(normalized, id, plan)
-             : scan_existing_jsonl(normalized, id, plan);
-}
-
 StreamingSink::StreamingSink(SinkOptions options, ShardIdentity id,
                              const Recovery* recovered)
-    : options_(std::move(options)), partial_(id, options_.ground_truth) {
-  if (options_.chunk_records == 0) options_.chunk_records = 1;
-  RecordStreamConfig config;
-  config.format = options_.format;
-  config.chunk_records = options_.chunk_records;
-  config.ground_truth = options_.ground_truth;
-  config.metrics_only = options_.metrics_only;
-  if (recovered) {
-    partial_ = recovered->partial;
-    records_written_ = recovered->records;
-    sink_ = open_record_sink(options_.output_stem, config, id,
-                             &recovered->valid_bytes);
-  } else {
-    sink_ = open_record_sink(options_.output_stem, config, id);
-  }
-}
+    : options_(normalized(std::move(options))),
+      partial_(recovered ? recovered->partial
+                         : PartialReduction(id, options_.ground_truth)),
+      sink_(options_, id, recovered ? &recovered->valid_bytes : nullptr),
+      records_written_(recovered ? recovered->records : 0) {}
 
 void StreamingSink::append(std::size_t global_index,
                            const core::PerformanceReport& report) {
@@ -419,18 +324,15 @@ void StreamingSink::append(std::size_t global_index,
   else
     partial_.add(global_index, point.report.latency.total,
                  point.report.energy.total);
-  sink_->append(global_index, point.report, gt);
+  sink_.append(global_index, point.report, gt);
   ++buffered_records_;
   ++records_written_;
   if (buffered_records_ >= options_.chunk_records) flush();
 }
 
 void StreamingSink::flush() {
-  // Backend-labeled sink telemetry (satellite S2): records/bytes per
-  // encoding plus flush latency; all compile to no-ops under
-  // XR_OBS_DISABLED.
-  static obs::Counter jsonl_records("shard.sink.jsonl.records");
-  static obs::Counter jsonl_bytes("shard.sink.jsonl.bytes");
+  // Sink telemetry: records/bytes written plus flush latency; all compile
+  // to no-ops under XR_OBS_DISABLED.
   static obs::Counter binary_records("shard.sink.binary.records");
   static obs::Counter binary_bytes("shard.sink.binary.bytes");
   static obs::Histogram flush_ms("shard.sink.flush_ms",
@@ -451,7 +353,7 @@ void StreamingSink::flush() {
                                records_path() + ")");
   }
   const std::size_t flushed = buffered_records_;
-  const std::size_t bytes = sink_->flush();
+  const std::size_t bytes = sink_.flush();
   buffered_records_ = 0;
   if (fault && fault->action == fail::Action::kTruncate) {
     tear_file_tail(records_path(), 7);
@@ -461,13 +363,8 @@ void StreamingSink::flush() {
   if (fault && fault->action == fail::Action::kCorrupt)
     corrupt_file_tail(records_path(), 10);
   write_partial_checkpoint();
-  if (options_.format == RecordFormat::kBinary) {
-    binary_records.add(flushed);
-    binary_bytes.add(bytes);
-  } else {
-    jsonl_records.add(flushed);
-    jsonl_bytes.add(bytes);
-  }
+  binary_records.add(flushed);
+  binary_bytes.add(bytes);
   flush_ms.observe(
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
@@ -487,8 +384,8 @@ void StreamingSink::write_partial_checkpoint() {
     if (fault->action == fail::Action::kTruncate) {
       // A torn checkpoint ON THE FINAL PATH — what a crashed non-atomic
       // writer leaves. Returns without error: the record stream must stay
-      // the source of truth, and whoever reads this checkpoint (the
-      // coordinator's jsonl fold) must fail over to reassignment.
+      // the source of truth, and whoever reads this checkpoint must fail
+      // over to the stream or to reassignment.
       std::ofstream torn(path, std::ios::binary | std::ios::trunc);
       const std::string doc = partial_.to_json().dump();
       torn << doc.substr(0, doc.size() / 2);

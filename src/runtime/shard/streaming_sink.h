@@ -1,9 +1,8 @@
 // Bounded-memory, chunked result delivery with mergeable reductions.
 //
 // A shard worker never holds its whole report vector: it evaluates the grid
-// in chunks, appends each report through a pluggable RecordSink (see
-// record_stream.h — JSONL text or the binary columnar format of
-// binary_stream.h, selected by SinkOptions::format), and folds it into a
+// in chunks, appends each report to its record stream (<stem>.xrb, the
+// binary columnar format of binary_stream.h), and folds it into a
 // PartialReduction — the exact sufficient statistic for every BatchResult
 // summary (per-metric argmin/min/max, the latency/energy Pareto frontier,
 // throughput stats). K partial reductions over a disjoint cover of the
@@ -20,41 +19,39 @@
 //     BatchEvaluator's stable_sort induces — reproduces the monolithic
 //     frontier exactly;
 //   * every double crossing a process boundary survives the trip
-//     bit-for-bit: shortest round-trip text form in JSONL (jsonio.h), raw
-//     IEEE-754 little-endian columns in the binary backend.
+//     bit-for-bit: raw IEEE-754 little-endian columns in the record stream,
+//     shortest round-trip text form in the checkpoint (jsonio.h).
 //
-// A PartialReduction is therefore a pure function of the decoded totals —
-// the record *encoding* cannot reach it, which is why shards written in
-// different formats (or slim vs full shapes) merge to bitwise-identical
+// A PartialReduction is therefore a pure function of the decoded totals,
+// which is why slim and full record shapes merge to bitwise-identical
 // summaries.
 //
 // Record shapes — full, metrics-only (SinkOptions::metrics_only, the
 // sweep_worker --metrics flag, for million-point grids where breakdowns
 // dominate I/O), and either shape plus a ground-truth measurement block
-// (see evaluator.h) — are defined once in record_stream.h and encoded
-// per-backend. In ground-truth mode the reduction runs over the
-// *measurements* (extrema and Pareto on GT means) plus a GtAggregate of
-// exactly-mergeable sums (ExactSum), so GT summaries obey the same bitwise
-// merge law as analytical ones.
+// (see evaluator.h) — are defined once in record_stream.h. In ground-truth
+// mode the reduction runs over the *measurements* (extrema and Pareto on
+// GT means) plus a GtAggregate of exactly-mergeable sums (ExactSum), so GT
+// summaries obey the same bitwise merge law as analytical ones.
 //
 // The sink flushes every chunk_records records and rewrites the partial
 // checkpoint, so a killed worker loses at most one chunk; scan_existing()
-// recovers the longest valid record prefix for resume under the backend's
-// tear rules: a torn *tail* (the only damage a kill can inflict) truncates
-// silently, while mid-file corruption — an unparseable newline-terminated
-// JSONL line, a binary chunk with bad magic or checksum — is a named
+// recovers the longest valid record prefix for resume under the stream's
+// tear taxonomy (binary_stream.h): a torn *tail* (the only damage a kill
+// can inflict) truncates silently, while corruption — bad magic, checksum,
+// or a record count its payload disagrees with — is a named
 // std::runtime_error, because silently dropping the valid suffix behind it
 // would mask real data loss.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/framework.h"
+#include "runtime/shard/binary_stream.h"
 #include "runtime/shard/evaluator.h"
 #include "runtime/shard/exact_sum.h"
 #include "runtime/shard/jsonio.h"
@@ -191,26 +188,6 @@ class PartialReduction {
 
 // ---- the sink ----------------------------------------------------------
 
-struct SinkOptions {
-  /// Files written: record_path(output_stem, format) — <stem>.jsonl or
-  /// <stem>.xrb — and <output_stem>.partial.json.
-  std::string output_stem;
-  /// Record encoding (see record_stream.h). Resume refuses to continue a
-  /// stem whose existing stream is in the other format.
-  RecordFormat format = RecordFormat::kJsonl;
-  /// Records buffered between flushes (bounds worker memory and the
-  /// checkpoint loss window).
-  std::size_t chunk_records = 64;
-  /// Ground-truth mode: records must carry GtMeasurements, the reduction
-  /// runs over the measured means, and the partial carries a GtAggregate
-  /// (even while empty).
-  bool ground_truth = false;
-  /// Metrics mode: write slim totals-only records. The reduction (and so
-  /// the merge law) is unaffected; resume refuses to continue a stream
-  /// whose record shape disagrees with this flag.
-  bool metrics_only = false;
-};
-
 class StreamingSink {
  public:
   /// State recovered from an existing record stream.
@@ -222,11 +199,9 @@ class StreamingSink {
 
   /// Scan the existing record stream for the longest prefix of valid
   /// records whose global indices match the plan's enumeration for this
-  /// shard. A torn tail (a killed worker's partial final write) ends the
-  /// prefix silently; mid-file corruption throws a named
-  /// std::runtime_error; a stream in the *other* format at the same stem
-  /// is a named error too (cross-format resume refusal). Missing file →
-  /// zero records.
+  /// shard, on the chunk grid. A torn tail (a killed worker's partial
+  /// final write) ends the prefix silently; corruption throws a named
+  /// std::runtime_error. Missing file → zero records.
   [[nodiscard]] static Recovery scan_existing(const SinkOptions& options,
                                               const ShardIdentity& id,
                                               const ShardPlan& plan);
@@ -249,7 +224,7 @@ class StreamingSink {
   /// and the GtAggregate. Point kind must match the sink's mode.
   void append(std::size_t global_index, const EvaluatedPoint& point);
 
-  /// Write buffered records to disk (one backend chunk) and checkpoint the
+  /// Write buffered records to disk (one chunk) and checkpoint the
   /// partial reduction.
   void flush();
 
@@ -269,9 +244,9 @@ class StreamingSink {
   [[nodiscard]] const PartialReduction& partial() const noexcept {
     return partial_;
   }
-  /// The record stream's path: record_path(output_stem, format).
-  [[nodiscard]] std::string records_path() const {
-    return record_path(options_.output_stem, options_.format);
+  /// The record stream's path: <output_stem>.xrb.
+  [[nodiscard]] const std::string& records_path() const noexcept {
+    return sink_.path();
   }
   [[nodiscard]] std::string partial_path() const {
     return options_.output_stem + ".partial.json";
@@ -282,7 +257,7 @@ class StreamingSink {
 
   SinkOptions options_;
   PartialReduction partial_;
-  std::unique_ptr<RecordSink> sink_;
+  RecordSink sink_;
   std::size_t buffered_records_ = 0;
   std::size_t records_written_ = 0;
 };

@@ -79,14 +79,13 @@ PartialReduction check_resume_identity(const std::string& partial_path,
 }
 
 /// Sequential reader over this shard's pass-1 (coarse) record stream for
-/// the hybrid pass-2 leg, format-agnostic through RecordSource. The coarse
-/// stream enumerates exactly the same global indices in the same order as
-/// the pass-2 stream (same shard of the same plan), so the reader only
-/// ever moves forward one record per local index.
+/// the hybrid pass-2 leg. The coarse stream enumerates exactly the same
+/// global indices in the same order as the pass-2 stream (same shard of
+/// the same plan), so the reader only ever moves forward one record per
+/// local index.
 class CoarseStream {
  public:
-  explicit CoarseStream(const std::string& stem)
-      : source_(open_record_source(resolve(stem))) {}
+  explicit CoarseStream(const std::string& stem) : source_(record_path(stem)) {}
 
   void skip(std::size_t records) {
     ParsedRecord r;
@@ -94,33 +93,15 @@ class CoarseStream {
   }
 
   void next(ParsedRecord& r) {
-    if (!source_->next(r))
+    if (!source_.next(r))
       throw std::runtime_error(
-          "run_worker: coarse record stream " + source_->path() +
+          "run_worker: coarse record stream " + source_.path() +
           " ended early — the coarse pass must be complete before the "
           "refinement pass");
   }
 
  private:
-  /// Autodetect the coarse pass's format from which record file exists at
-  /// the stem; a stem carrying both encodings is ambiguous and refused.
-  static std::string resolve(const std::string& stem) {
-    const std::string jsonl = record_path(stem, RecordFormat::kJsonl);
-    const std::string binary = record_path(stem, RecordFormat::kBinary);
-    std::error_code ec;
-    const bool has_jsonl = std::filesystem::exists(jsonl, ec);
-    const bool has_binary = std::filesystem::exists(binary, ec);
-    if (has_jsonl && has_binary)
-      throw std::runtime_error(
-          "run_worker: coarse stem " + stem +
-          " carries both a .jsonl and a .xrb stream — remove the stale one");
-    if (!has_jsonl && !has_binary)
-      throw std::runtime_error("run_worker: cannot open coarse record stream " +
-                               jsonl + " (or " + binary + ")");
-    return has_binary ? binary : jsonl;
-  }
-
-  std::unique_ptr<RecordSource> source_;
+  RecordSource source_;
 };
 
 /// Pass-2 guard: the coarse stream this leg copies from must be this
@@ -171,7 +152,6 @@ WorkerSpec WorkerSpec::from_request(const runtime::SweepRequest& request,
   spec.shard_count = shard_count;
   spec.strategy = strategy;
   spec.output = std::move(output);
-  spec.format = request.execution.format;
   spec.chunk_records = request.execution.chunk_records;
   spec.threads = request.execution.threads;
   spec.grain = request.execution.grain;
@@ -189,9 +169,6 @@ Json WorkerSpec::to_json() const {
   j.set("shard_count", shard_count);
   j.set("strategy", strategy_name(strategy));
   j.set("output", output);
-  // Only the non-default encoding is serialized, mirroring ExecutionSpec:
-  // existing jsonl spec documents stay byte-stable.
-  if (format == RecordFormat::kBinary) j.set("format", format_name(format));
   j.set("chunk_records", chunk_records);
   j.set("threads", threads);
   if (grain != 0) j.set("grain", grain);
@@ -223,8 +200,9 @@ WorkerSpec WorkerSpec::from_json(const Json& j) {
   if (const Json* s = j.find("strategy"))
     out.strategy = strategy_from_name(s->as_string());
   out.output = j.at("output").as_string();
+  // The one encoding may still be named; any other is refused by name.
   if (const Json* f = j.find("format"))
-    out.format = format_from_name(f->as_string());
+    (void)format_from_name(f->as_string());
   if (const Json* c = j.find("chunk_records"))
     out.chunk_records = c->as_size();
   // Normalize once: 0 would otherwise mean "flush every record" to the
@@ -387,7 +365,6 @@ ShardRun::State::State(const WorkerSpec& s)
   }
 
   options.output_stem = spec.output;
-  options.format = spec.format;
   options.chunk_records = chunk;
   options.ground_truth = spec.evaluator.is_ground_truth();
   options.metrics_only = spec.metrics;

@@ -13,7 +13,6 @@
 //   {"grid": {<runtime::GridSpec>}, "evaluator": {<EvaluatorSpec>},
 //    "shard_id": 0, "shard_count": 4,
 //    "strategy": "range", "output": "out/shard0",
-//    "format": "binary",  // record encoding; omitted = jsonl
 //    "chunk_records": 64, "threads": 1, "metrics": false, "resume": false,
 //    // adaptive-fidelity legs only (runtime/adaptive.h):
 //    "adaptive": {<AdaptiveSpec>}, "adaptive_pass": 1|2,
@@ -28,14 +27,14 @@
 // ground_truth evaluator streams per-point simulator measurements (seeded
 // from the *global* grid index — see evaluator.h) through the same sink.
 //
-// The worker writes a record stream through the pluggable RecordSink
-// layer (record_stream.h) — <output>.jsonl or <output>.xrb per the spec's
-// format, one record per scenario in ascending global index — plus
-// <output>.partial.json (the mergeable reduction, checkpointed at every
-// chunk flush). Resume scans the existing record stream, truncates any
-// torn tail, rebuilds the reduction from the valid prefix, and continues
-// from the first missing record — so a re-run after a kill produces
-// byte-identical outputs to an uninterrupted run, in either format.
+// The worker writes <output>.xrb (binary_stream.h), one record per
+// scenario in ascending global index, plus <output>.partial.json (the
+// mergeable reduction, checkpointed at every chunk flush). Resume scans
+// the existing record stream, truncates any torn tail, rebuilds the
+// reduction from the valid prefix on the chunk grid, and continues from
+// the first missing record — so a re-run after a kill produces
+// byte-identical outputs to an uninterrupted run. A "format" field in a
+// spec document is still accepted when it names "binary".
 #pragma once
 
 #include <cstddef>
@@ -63,13 +62,8 @@ struct WorkerSpec {
   std::size_t shard_id = 0;
   std::size_t shard_count = 1;
   ShardStrategy strategy = ShardStrategy::kRange;
-  /// Output stem: writes record_path(output, format) — <output>.jsonl or
-  /// <output>.xrb — and <output>.partial.json.
+  /// Output stem: writes <output>.xrb and <output>.partial.json.
   std::string output;
-  /// Record encoding (see record_stream.h). Execution mechanics only:
-  /// never fingerprinted, never affects the partial reduction or the
-  /// merge law.
-  RecordFormat format = RecordFormat::kJsonl;
   std::size_t chunk_records = 64;
   /// BatchOptions convention: 0 = shared pool, 1 = strict serial,
   /// N = dedicated pool of N workers (chunks still land in index order).
@@ -97,9 +91,7 @@ struct WorkerSpec {
   std::vector<std::size_t> refine;
   /// Pass 2: this shard's pass-1 output stem. The coarse stream must be
   /// complete and carry the matching coarse identity; may be empty only
-  /// when every index of this shard is refined (nothing to copy). Its
-  /// format is autodetected from which record file exists at the stem, so
-  /// a binary fine leg can copy from a JSONL coarse pass and vice versa.
+  /// when every index of this shard is refined (nothing to copy).
   std::string coarse_input;
 
   /// This worker's slice of a unified sweep request: grid, evaluator,
@@ -128,7 +120,7 @@ struct WorkerOutcome {
   std::size_t evaluated_records = 0; ///< newly evaluated by this run/step.
   bool complete = false;             ///< reached the end of the shard.
   PartialReduction partial;
-  std::string records_path;          ///< the record stream (either format).
+  std::string records_path;          ///< the <output>.xrb record stream.
   std::string partial_path;
 };
 
@@ -156,7 +148,7 @@ class ShardRun {
   /// checkpoint chunks keep the stream on the chunk grid; a step that
   /// stops mid-chunk flushes an undersized chunk, and the next step
   /// reopens the stem through the resume scan, as a new run_worker call
-  /// would, so outputs stay byte-identical in either format.
+  /// would, so outputs stay byte-identical.
   [[nodiscard]] WorkerOutcome step(std::size_t max_new_records = 0);
 
  private:
@@ -168,7 +160,7 @@ class ShardRun {
 /// non-zero — the kill-simulation hook: the run stops early with a
 /// *consistent* flushed prefix + checkpoint, i.e. the state after a kill
 /// that landed between chunk flushes. The harsher aftermaths (a torn
-/// trailing line, a lost unflushed chunk) are covered by the tests that
+/// trailing chunk, a lost unflushed chunk) are covered by the tests that
 /// truncate the files by hand; scan_existing handles all of them.
 /// Equivalent to ShardRun(spec).step(max_new_records).
 /// Throws on invalid specs and I/O failure.

@@ -50,10 +50,6 @@ core::Json ExecutionSpec::to_json() const {
   j.set("chunk_records", chunk_records);
   if (grain != 0) j.set("grain", grain);
   j.set("metrics", metrics);
-  // Only the non-default encoding is serialized: existing jsonl request
-  // documents stay byte-stable.
-  if (format == shard::RecordFormat::kBinary)
-    j.set("format", shard::format_name(format));
   return j;
 }
 

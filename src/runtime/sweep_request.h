@@ -11,7 +11,7 @@
 //                  "fine_frames": 200,          // (ground truth only; see
 //                  "band_fraction": 0.05},      //  runtime/adaptive.h)
 //    "execution": {"threads": N, "chunk_records": N, "grain": N,
-//                  "metrics": false, "format": "binary"}}
+//                  "metrics": false}}
 //
 // The same document runs monolithically (run_request, below) or sharded
 // (sweep_worker --request, one process per shard, merged by sweep_merge)
@@ -29,7 +29,7 @@
 //                    OffloadPlan that merges exactly across shards.
 //
 // The execution block is per-process mechanics (thread count, checkpoint
-// cadence, slim records, record encoding); it never affects result values
+// cadence, slim records); it never affects result values
 // — only the grid, evaluator, and reduction do, which is why only those
 // are fingerprinted.
 #pragma once
@@ -65,9 +65,8 @@ struct ReductionSpec {
 };
 
 /// Per-process execution mechanics. Never part of the result identity —
-/// thread count, chunk cadence, task grain, record shape, and record
-/// encoding never change a value (the bitwise determinism the runtime and
-/// shard tests assert).
+/// thread count, chunk cadence, task grain, and record shape never change
+/// a value (the bitwise determinism the runtime and shard tests assert).
 struct ExecutionSpec {
   /// BatchOptions convention: 0 = shared pool, 1 = strict serial,
   /// N = dedicated pool of N workers.
@@ -79,9 +78,9 @@ struct ExecutionSpec {
   std::size_t grain = 0;
   /// Slim totals-only records (see record_stream.h).
   bool metrics = false;
-  /// Record encoding for sharded streaming runs (record_stream.h); the
-  /// merge law holds across formats, so shards of one sweep may mix them.
-  shard::RecordFormat format = shard::RecordFormat::kJsonl;
+  /// The record encoding, which has one value. from_json accepts
+  /// "format": "binary" and refuses any other name; to_json omits it.
+  shard::RecordFormat format = shard::RecordFormat::kBinary;
 
   [[nodiscard]] core::Json to_json() const;
   [[nodiscard]] static ExecutionSpec from_json(const core::Json& j);

@@ -71,19 +71,19 @@ shard::MergedSummary run_sharded_adaptive(
     const SweepRequest& request, const std::string& stem_base,
     std::size_t shards, shard::ShardStrategy strategy,
     std::vector<std::size_t>* refined_out = nullptr) {
-  std::vector<std::string> coarse_jsonl;
+  std::vector<std::string> coarse_records;
   for (std::size_t k = 0; k < shards; ++k) {
     auto spec = shard::WorkerSpec::from_request(
         request, k, shards, strategy, stem_base + "c" + std::to_string(k));
     spec.adaptive_pass = 1;
     const auto outcome = shard::run_worker(spec);
     EXPECT_TRUE(outcome.complete);
-    coarse_jsonl.push_back(outcome.records_path);
+    coarse_records.push_back(outcome.records_path);
   }
 
   const std::size_t grid_size = request.grid.build().size();
   const auto estimates =
-      coarse_estimates_from_records(coarse_jsonl, grid_size);
+      coarse_estimates_from_records(coarse_records, grid_size);
   const auto refined =
       select_refinement(request.grid, estimates, *request.adaptive);
   if (refined_out) *refined_out = refined;

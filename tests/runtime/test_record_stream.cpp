@@ -1,16 +1,17 @@
-// The pluggable record-stream contract: both backends (JSONL text and the
-// binary columnar .xrb format) carry the same record model bit-for-bit,
-// K binary shards merge bitwise identical to the monolithic JSONL run,
-// kill/resume keeps byte identity on the binary chunk grid, mid-file
-// corruption is a named error in either format (S1), and a stem never
-// silently switches encodings (S3).
+// The record-stream contract: the .xrb stream carries the record model
+// bit-for-bit in every shape, K shards merge bitwise identical to the
+// monolithic run, kill/resume keeps byte identity on the chunk grid, and a
+// chunk header that lies about its counts or sizes is a named error, never
+// an allocation sized from it or a silent rewrite.
 #include "runtime/shard/record_stream.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -99,50 +100,49 @@ void expect_reports_equal(const core::PerformanceReport& a,
 }
 
 TEST_F(RecordStreamTest, FormatHelpers) {
-  EXPECT_STREQ(format_name(RecordFormat::kJsonl), "jsonl");
-  EXPECT_STREQ(format_name(RecordFormat::kBinary), "binary");
-  EXPECT_EQ(format_from_name("jsonl"), RecordFormat::kJsonl);
   EXPECT_EQ(format_from_name("binary"), RecordFormat::kBinary);
   EXPECT_THROW((void)format_from_name("csv"), std::invalid_argument);
-  EXPECT_EQ(record_path("out/s0", RecordFormat::kJsonl), "out/s0.jsonl");
-  EXPECT_EQ(record_path("out/s0", RecordFormat::kBinary), "out/s0.xrb");
-  EXPECT_EQ(format_from_path("a/b.jsonl"), RecordFormat::kJsonl);
-  EXPECT_EQ(format_from_path("a/b.xrb"), RecordFormat::kBinary);
-  EXPECT_FALSE(format_from_path("a/b.partial.json").has_value());
-  EXPECT_FALSE(format_from_path("xrb").has_value());
+  EXPECT_EQ(record_path("out/s0"), "out/s0.xrb");
+  EXPECT_TRUE(is_record_path("a/b.xrb"));
+  EXPECT_FALSE(is_record_path("a/b.partial.json"));
+  EXPECT_FALSE(is_record_path("xrb"));
+  EXPECT_FALSE(is_record_path(".xrb"));
+}
+
+/// Write records 0..n-1 of `grid` to <stem>.xrb, one chunk per
+/// chunk_records, and return the reports written.
+std::vector<core::PerformanceReport> write_stream(const SinkOptions& options,
+                                                  const ShardIdentity& id,
+                                                  const ScenarioGrid& grid,
+                                                  std::size_t n) {
+  const core::XrPerformanceModel model;
+  std::vector<core::PerformanceReport> reports;
+  RecordSink sink(options, id);
+  for (std::size_t i = 0; i < n; ++i) {
+    reports.push_back(model.evaluate(grid.at(i)));
+    sink.append(i, reports.back(), nullptr);
+    if ((i + 1) % options.chunk_records == 0) (void)sink.flush();
+  }
+  (void)sink.flush();
+  return reports;
 }
 
 TEST_F(RecordStreamTest, BinaryRoundTripIsBitwiseExact) {
   const auto grid = small_spec().build();
-  const core::XrPerformanceModel model;
   const ShardIdentity id{0, 1, ShardStrategy::kRange, grid.size(), 77};
-  RecordStreamConfig config;
-  config.format = RecordFormat::kBinary;
-  config.chunk_records = 4;
+  const auto reports =
+      write_stream(SinkOptions{stem("full"), 4}, id, grid, grid.size());
 
-  std::vector<core::PerformanceReport> reports;
-  {
-    auto sink = open_record_sink(stem("full"), config, id);
-    EXPECT_EQ(sink->format(), RecordFormat::kBinary);
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      reports.push_back(model.evaluate(grid.at(i)));
-      sink->append(i, reports.back(), nullptr);
-      if ((i + 1) % config.chunk_records == 0) (void)sink->flush();
-    }
-    (void)sink->flush();
-  }
-
-  auto source = open_record_source(stem("full") + ".xrb");
-  EXPECT_EQ(source->format(), RecordFormat::kBinary);
+  RecordSource source(stem("full") + ".xrb");
   ParsedRecord r;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    ASSERT_TRUE(source->next(r));
+    ASSERT_TRUE(source.next(r));
     EXPECT_EQ(r.index, i);
     EXPECT_FALSE(r.slim);
     EXPECT_FALSE(r.gt.has_value());
     expect_reports_equal(r.report, reports[i]);
   }
-  EXPECT_FALSE(source->next(r));
+  EXPECT_FALSE(source.next(r));
 
   // The header is self-identifying.
   const auto header = read_binary_header(stem("full") + ".xrb");
@@ -161,24 +161,20 @@ TEST_F(RecordStreamTest, BinaryGroundTruthAndSlimShapesRoundTrip) {
   const core::XrPerformanceModel model;
   const ShardIdentity id{0, 1, ShardStrategy::kRange, grid.size(), 5};
 
-  RecordStreamConfig config;
-  config.format = RecordFormat::kBinary;
-  config.chunk_records = 3;
-  config.ground_truth = true;
   std::vector<EvaluatedPoint> points;
   {
-    auto sink = open_record_sink(stem("gt"), config, id);
+    RecordSink sink(SinkOptions{stem("gt"), 3, /*ground_truth=*/true}, id);
     for (std::size_t i = 0; i < grid.size(); ++i) {
       points.push_back(evaluate_point(gt_ev, model, grid.at(i), i));
-      sink->append(i, points.back().report, &*points.back().gt);
+      sink.append(i, points.back().report, &*points.back().gt);
     }
-    (void)sink->flush();
+    (void)sink.flush();
   }
   {
-    auto source = open_record_source(stem("gt") + ".xrb");
+    RecordSource source(stem("gt") + ".xrb");
     ParsedRecord r;
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      ASSERT_TRUE(source->next(r));
+      ASSERT_TRUE(source.next(r));
       ASSERT_TRUE(r.gt.has_value());
       EXPECT_EQ(r.gt->seed, points[i].gt->seed);
       EXPECT_EQ(r.gt->frames, points[i].gt->frames);
@@ -188,23 +184,23 @@ TEST_F(RecordStreamTest, BinaryGroundTruthAndSlimShapesRoundTrip) {
       EXPECT_EQ(r.gt->energy_error_pct, points[i].gt->energy_error_pct);
       expect_reports_equal(r.report, points[i].report);
     }
-    EXPECT_FALSE(source->next(r));
+    EXPECT_FALSE(source.next(r));
   }
 
   // Slim (metrics-only) records keep the totals bit-for-bit.
-  RecordStreamConfig slim = config;
-  slim.ground_truth = false;
-  slim.metrics_only = true;
   {
-    auto sink = open_record_sink(stem("slim"), slim, id);
+    RecordSink sink(
+        SinkOptions{stem("slim"), 3, /*ground_truth=*/false,
+                    /*metrics_only=*/true},
+        id);
     for (std::size_t i = 0; i < grid.size(); ++i)
-      sink->append(i, points[i].report, nullptr);
-    (void)sink->flush();
+      sink.append(i, points[i].report, nullptr);
+    (void)sink.flush();
   }
-  auto source = open_record_source(stem("slim") + ".xrb");
+  RecordSource source(stem("slim") + ".xrb");
   ParsedRecord r;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    ASSERT_TRUE(source->next(r));
+    ASSERT_TRUE(source.next(r));
     EXPECT_TRUE(r.slim);
     EXPECT_EQ(r.report.latency.total, points[i].report.latency.total);
     EXPECT_EQ(r.report.energy.total, points[i].report.energy.total);
@@ -213,48 +209,31 @@ TEST_F(RecordStreamTest, BinaryGroundTruthAndSlimShapesRoundTrip) {
 
 TEST_F(RecordStreamTest, BinaryWriteReadWriteIsByteIdentical) {
   const auto grid = small_spec().build();
-  const core::XrPerformanceModel model;
   const ShardIdentity id{0, 1, ShardStrategy::kRange, grid.size(), 9};
-  RecordStreamConfig config;
-  config.format = RecordFormat::kBinary;
-  config.chunk_records = 4;
-
-  {
-    auto sink = open_record_sink(stem("a"), config, id);
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      sink->append(i, model.evaluate(grid.at(i)), nullptr);
-      if ((i + 1) % config.chunk_records == 0) (void)sink->flush();
-    }
-    (void)sink->flush();
-  }
+  const SinkOptions a{stem("a"), 4};
+  (void)write_stream(a, id, grid, grid.size());
 
   // Decode every record, re-encode on the same chunk grid: identical bytes.
   {
-    auto source = open_record_source(stem("a") + ".xrb");
-    auto sink = open_record_sink(stem("b"), config, id);
+    RecordSource source(stem("a") + ".xrb");
+    RecordSink sink(SinkOptions{stem("b"), 4}, id);
     ParsedRecord r;
     std::size_t n = 0;
-    while (source->next(r)) {
-      sink->append(r.index, r.report, r.gt ? &*r.gt : nullptr);
-      if (++n % config.chunk_records == 0) (void)sink->flush();
+    while (source.next(r)) {
+      sink.append(r.index, r.report, r.gt ? &*r.gt : nullptr);
+      if (++n % a.chunk_records == 0) (void)sink.flush();
     }
-    (void)sink->flush();
+    (void)sink.flush();
   }
   EXPECT_EQ(read_file(stem("a") + ".xrb"), read_file(stem("b") + ".xrb"));
 }
 
 TEST_F(RecordStreamTest, BinaryHeaderRejectsCorruptionAndVersionSkew) {
   const auto grid = small_spec().build();
-  const core::XrPerformanceModel model;
   const ShardIdentity id{0, 1, ShardStrategy::kRange, grid.size(), 3};
-  RecordStreamConfig config;
-  config.format = RecordFormat::kBinary;
-  {
-    auto sink = open_record_sink(stem("s"), config, id);
-    for (std::size_t i = 0; i < grid.size(); ++i)
-      sink->append(i, model.evaluate(grid.at(i)), nullptr);
-    (void)sink->flush();
-  }
+  SinkOptions options;
+  options.output_stem = stem("s");
+  (void)write_stream(options, id, grid, grid.size());
   const std::string path = stem("s") + ".xrb";
   const std::string intact = read_file(path);
 
@@ -263,7 +242,7 @@ TEST_F(RecordStreamTest, BinaryHeaderRejectsCorruptionAndVersionSkew) {
   bad[0] = 'Z';
   write_file(path, bad);
   EXPECT_THROW((void)read_binary_header(path), std::runtime_error);
-  EXPECT_THROW((void)open_record_source(path), std::runtime_error);
+  EXPECT_THROW((void)RecordSource(path), std::runtime_error);
 
   // Unsupported version.
   bad = intact;
@@ -278,9 +257,6 @@ TEST_F(RecordStreamTest, BinaryHeaderRejectsCorruptionAndVersionSkew) {
 
   // A foreign fingerprint refuses to resume (named error, not truncation).
   write_file(path, intact);
-  SinkOptions options;
-  options.output_stem = stem("s");
-  options.format = RecordFormat::kBinary;
   const ShardPlan plan(grid.size(), 1, ShardStrategy::kRange);
   const ShardIdentity foreign{0, 1, ShardStrategy::kRange, grid.size(), 4};
   EXPECT_THROW((void)StreamingSink::scan_existing(options, foreign, plan),
@@ -291,7 +267,7 @@ TEST_F(RecordStreamTest, BinaryHeaderRejectsCorruptionAndVersionSkew) {
   EXPECT_EQ(recovered.valid_bytes, intact.size());
 }
 
-TEST_F(RecordStreamTest, BinaryShardsMergeBitwiseIdenticalToJsonl) {
+TEST_F(RecordStreamTest, ShardsMergeBitwiseIdenticalToMonolithic) {
   const auto grid_spec = testbed::ablation_grid_spec();
   const auto grid = grid_spec.build();
   const auto mono = BatchEvaluator({}, BatchOptions{1}).run(grid);
@@ -299,7 +275,7 @@ TEST_F(RecordStreamTest, BinaryShardsMergeBitwiseIdenticalToJsonl) {
   for (ShardStrategy strategy :
        {ShardStrategy::kRange, ShardStrategy::kStrided}) {
     constexpr std::size_t kShards = 3;
-    std::vector<std::string> jsonl_partials, binary_records;
+    std::vector<std::string> partials, records;
     for (std::size_t k = 0; k < kShards; ++k) {
       WorkerSpec spec;
       spec.grid = grid_spec;
@@ -307,27 +283,21 @@ TEST_F(RecordStreamTest, BinaryShardsMergeBitwiseIdenticalToJsonl) {
       spec.shard_count = kShards;
       spec.strategy = strategy;
       spec.chunk_records = 4;
-      spec.output = stem("j" + std::string(strategy_name(strategy)) +
+      spec.output = stem(std::string(strategy_name(strategy)) +
                          std::to_string(k));
-      const auto jsonl = run_worker(spec);
-      ASSERT_TRUE(jsonl.complete);
-      jsonl_partials.push_back(jsonl.partial_path);
-
-      spec.format = RecordFormat::kBinary;
-      spec.output = stem("b" + std::string(strategy_name(strategy)) +
-                         std::to_string(k));
-      const auto binary = run_worker(spec);
-      ASSERT_TRUE(binary.complete);
-      EXPECT_EQ(binary.records_path, spec.output + ".xrb");
-      binary_records.push_back(binary.records_path);
+      const auto outcome = run_worker(spec);
+      ASSERT_TRUE(outcome.complete);
+      EXPECT_EQ(outcome.records_path, spec.output + ".xrb");
+      partials.push_back(outcome.partial_path);
+      records.push_back(outcome.records_path);
     }
-    const auto from_jsonl = merge_partial_files(jsonl_partials);
-    // Merge the binary shards straight from their record streams.
-    const auto from_binary = merge_partial_files(binary_records);
+    const auto from_partials = merge_partial_files(partials);
+    // Merge the shards straight from their record streams.
+    const auto from_records = merge_partial_files(records);
     std::string why;
-    EXPECT_TRUE(matches_batch_result(from_binary, mono, &why))
+    EXPECT_TRUE(matches_batch_result(from_records, mono, &why))
         << strategy_name(strategy) << ": " << why;
-    EXPECT_TRUE(summaries_equivalent(from_jsonl, from_binary, &why))
+    EXPECT_TRUE(summaries_equivalent(from_partials, from_records, &why))
         << strategy_name(strategy) << ": " << why;
   }
 }
@@ -343,32 +313,38 @@ TEST_F(RecordStreamTest, MixedFormatShardsMergeFreely) {
   spec.chunk_records = 4;
   spec.shard_id = 0;
   spec.output = stem("m0");
-  const auto jsonl_shard = run_worker(spec);
+  const auto shard0 = run_worker(spec);
   spec.shard_id = 1;
-  spec.format = RecordFormat::kBinary;
   spec.output = stem("m1");
-  const auto binary_shard = run_worker(spec);
+  const auto shard1 = run_worker(spec);
 
-  // One .jsonl stream (identity from its sibling checkpoint) + one
-  // self-identifying .xrb stream, folded into one summary.
-  const auto merged = merge_partial_files(
-      {jsonl_shard.records_path, binary_shard.records_path});
+  // One .xrb record stream + one .partial.json checkpoint, folded into
+  // one summary.
+  const auto merged =
+      merge_partial_files({shard0.records_path, shard1.partial_path});
   std::string why;
   EXPECT_TRUE(matches_batch_result(merged, mono, &why)) << why;
 
   // partial_from_records reproduces each worker's own reduction.
-  for (const auto* outcome : {&jsonl_shard, &binary_shard}) {
+  for (const auto* outcome : {&shard0, &shard1}) {
     const auto partial = partial_from_records(outcome->records_path);
     EXPECT_EQ(partial.evaluated(), outcome->partial.evaluated());
     EXPECT_EQ(partial.min_latency_ms(), outcome->partial.min_latency_ms());
     EXPECT_EQ(partial.best_energy_index(),
               outcome->partial.best_energy_index());
+    EXPECT_EQ(partial.threads, outcome->partial.threads);
   }
 
-  // A bare .jsonl without its checkpoint cannot name its sweep.
+  // The stream names its own sweep: without the checkpoint it still
+  // folds, only the throughput stats are gone.
   fs::remove(stem("m0") + ".partial.json");
-  EXPECT_THROW((void)partial_from_records(jsonl_shard.records_path),
-               std::runtime_error);
+  const auto bare = partial_from_records(shard0.records_path);
+  EXPECT_EQ(bare.identity().grid_fingerprint,
+            shard0.partial.identity().grid_fingerprint);
+  EXPECT_EQ(bare.evaluated(), shard0.partial.evaluated());
+  EXPECT_EQ(bare.wall_ms, 0.0);
+  EXPECT_THROW((void)partial_from_records(stem("m0") + ".partial.json"),
+               std::invalid_argument);
 }
 
 TEST_F(RecordStreamTest, BinaryResumeAfterKillIsByteIdentical) {
@@ -379,7 +355,6 @@ TEST_F(RecordStreamTest, BinaryResumeAfterKillIsByteIdentical) {
   spec.shard_id = 1;
   spec.shard_count = 2;
   spec.chunk_records = 3;
-  spec.format = RecordFormat::kBinary;
 
   spec.output = stem("clean");
   const auto clean = run_worker(spec);
@@ -403,104 +378,38 @@ TEST_F(RecordStreamTest, BinaryResumeAfterKillIsByteIdentical) {
   EXPECT_EQ(second.resumed_records, 3u);
   EXPECT_EQ(read_file(second.records_path), read_file(clean.records_path));
 
-  // Resuming a complete binary shard is a no-op.
+  // Resuming a complete shard is a no-op.
   const auto third = run_worker(spec);
   EXPECT_TRUE(third.complete);
   EXPECT_EQ(third.evaluated_records, 0u);
   EXPECT_EQ(read_file(third.records_path), read_file(clean.records_path));
 }
 
-TEST_F(RecordStreamTest, MidFileCorruptionIsANamedErrorInBothFormats) {
+TEST_F(RecordStreamTest, MidFileCorruptionIsANamedError) {
   const auto grid = small_spec().build();
-  const core::XrPerformanceModel model;
   const ShardIdentity id{0, 1, ShardStrategy::kRange, grid.size()};
   const ShardPlan plan(grid.size(), 1, ShardStrategy::kRange);
 
-  // JSONL: an unparseable newline-terminated line mid-stream.
-  SinkOptions joptions;
-  joptions.output_stem = stem("j");
-  joptions.chunk_records = 2;
-  {
-    StreamingSink sink(joptions, id);
-    for (std::size_t i = 0; i < grid.size(); ++i)
-      sink.append(i, model.evaluate(grid.at(i)));
-    sink.flush();
-  }
-  const std::string jpath = joptions.output_stem + ".jsonl";
-  std::string text = read_file(jpath);
-  const std::size_t second_line = text.find('\n') + 1;
-  text[second_line] = '~';  // still newline-terminated, no longer JSON
-  write_file(jpath, text);
-  EXPECT_THROW((void)StreamingSink::scan_existing(joptions, id, plan),
-               std::runtime_error);
-  {
-    auto source = open_record_source(jpath);
-    ParsedRecord r;
-    ASSERT_TRUE(source->next(r));
-    EXPECT_THROW((void)source->next(r), std::runtime_error);
-  }
-
-  // Binary: a byte-complete chunk whose checksum no longer matches.
-  SinkOptions boptions;
-  boptions.output_stem = stem("b");
-  boptions.format = RecordFormat::kBinary;
-  boptions.chunk_records = 2;
-  {
-    StreamingSink sink(boptions, id);
-    for (std::size_t i = 0; i < grid.size(); ++i)
-      sink.append(i, model.evaluate(grid.at(i)));
-    sink.flush();
-  }
-  const std::string bpath = boptions.output_stem + ".xrb";
-  const std::string intact = read_file(bpath);
+  // A byte-complete chunk whose checksum no longer matches.
+  SinkOptions options;
+  options.output_stem = stem("b");
+  options.chunk_records = 2;
+  (void)write_stream(options, id, grid, grid.size());
+  const std::string path = options.output_stem + ".xrb";
+  const std::string intact = read_file(path);
   std::string bad = intact;
   bad[kBinaryFileHeaderBytes + kBinaryChunkHeaderBytes + 1] ^= 0x40;
-  write_file(bpath, bad);
-  EXPECT_THROW((void)StreamingSink::scan_existing(boptions, id, plan),
+  write_file(path, bad);
+  EXPECT_THROW((void)StreamingSink::scan_existing(options, id, plan),
                std::runtime_error);
-  EXPECT_THROW((void)fold_binary_partial(bpath), std::runtime_error);
+  EXPECT_THROW((void)fold_binary_partial(path), std::runtime_error);
 
   // A torn TAIL, by contrast, stays a silent truncation for resume — and
   // a named error for strict readers, who require complete streams.
-  write_file(bpath, intact.substr(0, intact.size() - 5));
-  const auto recovered = StreamingSink::scan_existing(boptions, id, plan);
+  write_file(path, intact.substr(0, intact.size() - 5));
+  const auto recovered = StreamingSink::scan_existing(options, id, plan);
   EXPECT_LT(recovered.records, grid.size());
-  EXPECT_THROW((void)fold_binary_partial(bpath), std::runtime_error);
-}
-
-TEST_F(RecordStreamTest, CrossFormatResumeIsRefusedBothWays) {
-  const auto grid_spec = testbed::ablation_grid_spec();
-
-  WorkerSpec spec;
-  spec.grid = grid_spec;
-  spec.shard_id = 0;
-  spec.shard_count = 2;
-  spec.chunk_records = 3;
-  spec.output = stem("x");
-  const auto first = run_worker(spec, /*max_new_records=*/4);
-  ASSERT_FALSE(first.complete);
-
-  // The stem holds a .jsonl stream; resuming it as binary is refused.
-  spec.resume = true;
-  spec.format = RecordFormat::kBinary;
-  EXPECT_THROW((void)run_worker(spec), std::runtime_error);
-
-  // And the other direction.
-  spec.resume = false;
-  spec.output = stem("y");
-  const auto bfirst = run_worker(spec, /*max_new_records=*/4);
-  ASSERT_FALSE(bfirst.complete);
-  spec.resume = true;
-  spec.format = RecordFormat::kJsonl;
-  EXPECT_THROW((void)run_worker(spec), std::runtime_error);
-
-  // A FRESH run (no --resume) may switch encodings: it replaces the stale
-  // sibling so the stem never carries both.
-  spec.resume = false;
-  const auto fresh = run_worker(spec);
-  EXPECT_TRUE(fresh.complete);
-  EXPECT_TRUE(fs::exists(stem("y") + ".jsonl"));
-  EXPECT_FALSE(fs::exists(stem("y") + ".xrb"));
+  EXPECT_THROW((void)fold_binary_partial(path), std::runtime_error);
 }
 
 TEST_F(RecordStreamTest, SinkCountersTrackRecordsAndBytesPerBackend) {
@@ -515,26 +424,17 @@ TEST_F(RecordStreamTest, SinkCountersTrackRecordsAndBytesPerBackend) {
   };
   const auto before_rec = counter("shard.sink.binary.records");
   const auto before_bytes = counter("shard.sink.binary.bytes");
-  const auto before_jsonl = counter("shard.sink.jsonl.records");
 
   WorkerSpec spec;
   spec.grid = grid_spec;
   spec.output = stem("obs");
-  spec.format = RecordFormat::kBinary;
   spec.chunk_records = 4;
   const auto outcome = run_worker(spec);
   ASSERT_TRUE(outcome.complete);
 
   EXPECT_EQ(counter("shard.sink.binary.records") - before_rec, n);
-  EXPECT_GE(counter("shard.sink.binary.bytes") - before_bytes,
-            n * sizeof(std::uint64_t));
-  EXPECT_EQ(counter("shard.sink.jsonl.records"), before_jsonl);
-
-  const auto before = counter("shard.sink.jsonl.records");
-  spec.format = RecordFormat::kJsonl;
-  spec.output = stem("obsj");
-  (void)run_worker(spec);
-  EXPECT_EQ(counter("shard.sink.jsonl.records") - before, n);
+  EXPECT_EQ(counter("shard.sink.binary.bytes") - before_bytes,
+            read_file(outcome.records_path).size() - kBinaryFileHeaderBytes);
 
   const auto snap = obs::Registry::global().snapshot();
   const auto* flushes = snap.histogram("shard.sink.flush_ms");
@@ -542,12 +442,12 @@ TEST_F(RecordStreamTest, SinkCountersTrackRecordsAndBytesPerBackend) {
   EXPECT_GT(flushes->count, 0u);
 }
 
-TEST_F(RecordStreamTest, CoarseEstimatesReadEitherFormat) {
+TEST_F(RecordStreamTest, CoarseEstimatesReadShardedStreams) {
   const auto grid_spec = small_spec();
   const std::size_t n = grid_spec.build().size();
 
-  // A two-shard GT sweep, one shard per format — the refinement selection
-  // input sweep_plan --refine-out consumes.
+  // A two-shard GT sweep — the refinement selection input sweep_plan
+  // --refine-out consumes.
   WorkerSpec spec;
   spec.grid = grid_spec;
   spec.evaluator.kind = EvaluatorKind::kGroundTruth;
@@ -559,7 +459,6 @@ TEST_F(RecordStreamTest, CoarseEstimatesReadEitherFormat) {
   spec.output = stem("c0");
   const auto s0 = run_worker(spec);
   spec.shard_id = 1;
-  spec.format = RecordFormat::kBinary;
   spec.output = stem("c1");
   const auto s1 = run_worker(spec);
   ASSERT_TRUE(s0.complete && s1.complete);
@@ -568,11 +467,10 @@ TEST_F(RecordStreamTest, CoarseEstimatesReadEitherFormat) {
       {s0.records_path, s1.records_path}, n);
   ASSERT_EQ(estimates.size(), n);
 
-  // Same sweep, monolithic JSONL: identical estimates (the simulator seed
-  // derives from the global index, and both encodings are bit-exact).
+  // Same sweep, monolithic: identical estimates (the simulator seed
+  // derives from the global index, and the stream is bit-exact).
   spec.shard_id = 0;
   spec.shard_count = 1;
-  spec.format = RecordFormat::kJsonl;
   spec.output = stem("mono");
   const auto mono = run_worker(spec);
   const auto reference =
@@ -585,6 +483,168 @@ TEST_F(RecordStreamTest, CoarseEstimatesReadEitherFormat) {
   // Coverage gaps are refused.
   EXPECT_THROW((void)coarse_estimates_from_records({s1.records_path}, n),
                std::invalid_argument);
+}
+
+/// The what() of the std::runtime_error `read` throws, or "" when it
+/// returns normally. Any other exception escapes and fails the test.
+template <class Read>
+std::string runtime_error_of(Read&& read) {
+  try {
+    read();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Every record of a complete stream, as its dumped line.
+std::vector<std::string> dump_lines(const std::string& path) {
+  RecordSource source(path);
+  std::vector<std::string> lines;
+  ParsedRecord r;
+  while (source.next(r))
+    lines.push_back(
+        record_line(r.index, r.report, r.gt ? &*r.gt : nullptr, r.slim));
+  return lines;
+}
+
+void overwrite_u64(std::string& bytes, std::size_t offset, std::uint64_t v) {
+  for (std::size_t b = 0; b < 8; ++b)
+    bytes[offset + b] = char((v >> (8 * b)) & 0xFF);
+}
+
+TEST_F(RecordStreamTest, ChunkHeaderLiesAreNamedErrors) {
+  // The chunk header sits outside the checksum. A payload size the file
+  // cannot back, or a record count the payload cannot hold, must be a
+  // named error before anything is sized from it; a count that disagrees
+  // with a byte-complete payload is corruption even for the resume scan.
+  const auto grid = small_spec().build();
+  const ShardIdentity id{0, 1, ShardStrategy::kRange, grid.size(), 11};
+  const ShardPlan plan(grid.size(), 1, ShardStrategy::kRange);
+  SinkOptions intact_options{stem("intact"), 4};
+  (void)write_stream(intact_options, id, grid, grid.size());
+  const std::string intact = read_file(stem("intact") + ".xrb");
+  const std::size_t chunk0 = kBinaryFileHeaderBytes;
+
+  struct Lie {
+    const char* name;
+    std::size_t offset;
+    std::uint64_t value;
+    bool scan_throws;
+  };
+  const Lie lies[] = {
+      {"payload_bytes", chunk0 + 16, std::uint64_t{1} << 62, false},
+      {"huge_count", chunk0 + 8, std::uint64_t{1} << 40, true},
+      {"count_plus_one", chunk0 + 8, 5, true},
+  };
+  for (const Lie& lie : lies) {
+    SCOPED_TRACE(lie.name);
+    SinkOptions options = intact_options;
+    options.output_stem = stem(lie.name);
+    const std::string path = options.output_stem + ".xrb";
+    std::string bytes = intact;
+    overwrite_u64(bytes, lie.offset, lie.value);
+    write_file(path, bytes);
+
+    EXPECT_NE(runtime_error_of([&] { (void)dump_lines(path); }).find(path),
+              std::string::npos);
+    EXPECT_NE(
+        runtime_error_of([&] { (void)fold_binary_partial(path); }).find(path),
+        std::string::npos);
+    if (lie.scan_throws) {
+      EXPECT_NE(runtime_error_of([&] {
+                  (void)StreamingSink::scan_existing(options, id, plan);
+                }).find(path),
+                std::string::npos);
+    } else {
+      // An overlong payload reads as a torn tail: the scan stops at
+      // chunk 0 without an error.
+      const auto recovered = StreamingSink::scan_existing(options, id, plan);
+      EXPECT_EQ(recovered.records, 0u);
+      EXPECT_EQ(recovered.valid_bytes, kBinaryFileHeaderBytes);
+    }
+  }
+}
+
+TEST_F(RecordStreamTest, SeededByteMutationsThrowOrReadBackTheOriginal) {
+  // Every byte of a 3-chunk stream, in each record shape, overwritten in
+  // turn with a seeded different value: strict readers either throw a
+  // named error or return exactly the original records, and the resume
+  // scan either throws or recovers a prefix of them.
+  const auto grid = small_spec().build();
+  const std::size_t n = grid.size();  // 9 records: chunks of 4, 4 and 1.
+  const ShardPlan plan(n, 1, ShardStrategy::kRange);
+  const core::XrPerformanceModel model;
+  EvaluatorSpec gt_ev;
+  gt_ev.kind = EvaluatorKind::kGroundTruth;
+  gt_ev.seed = 5;
+  gt_ev.frames_per_point = 3;
+
+  struct Shape {
+    const char* name;
+    bool ground_truth;
+    bool metrics_only;
+  };
+  for (const Shape shape : {Shape{"full", false, false},
+                            Shape{"slim", false, true},
+                            Shape{"gt", true, false}}) {
+    SCOPED_TRACE(shape.name);
+    const SinkOptions options{stem(shape.name), 4, shape.ground_truth,
+                              shape.metrics_only};
+    const ShardIdentity id{0, 1, ShardStrategy::kRange, n, 21};
+    const std::string path = options.output_stem + ".xrb";
+    // The original stream and what every reader makes of it.
+    std::vector<std::string> prefix_partials;  // reduction of records [0, k)
+    {
+      RecordSink sink(options, id);
+      PartialReduction partial(id, shape.ground_truth);
+      prefix_partials.push_back(partial.to_json().dump());
+      for (std::size_t i = 0; i < n; ++i) {
+        const EvaluatedPoint p =
+            shape.ground_truth ? evaluate_point(gt_ev, model, grid.at(i), i)
+                               : EvaluatedPoint{model.evaluate(grid.at(i)),
+                                                std::nullopt};
+        sink.append(i, p.report, p.gt ? &*p.gt : nullptr);
+        if (p.gt)
+          partial.add(i, p.gt->mean_latency_ms, p.gt->mean_energy_mj, &*p.gt);
+        else
+          partial.add(i, p.report.latency.total, p.report.energy.total);
+        prefix_partials.push_back(partial.to_json().dump());
+        if ((i + 1) % options.chunk_records == 0) (void)sink.flush();
+      }
+      (void)sink.flush();
+    }
+    const std::string original = read_file(path);
+    const std::vector<std::string> lines = dump_lines(path);
+    ASSERT_EQ(lines.size(), n);
+    // The fold's identity comes from the header; compare the rest.
+    const auto fold_sans_identity = [&] {
+      Json doc = fold_binary_partial(path).to_json();
+      doc.set("shard", Json());
+      return doc.dump();
+    };
+    const std::string folded = fold_sans_identity();
+
+    std::mt19937_64 rng(0x5EED0000u + original.size());
+    for (std::size_t at = 0; at < original.size(); ++at) {
+      std::string bytes = original;
+      bytes[at] = char(bytes[at] ^ char(1 + rng() % 255));
+      write_file(path, bytes);
+      // Header bytes 24-63 are the identity, which resume and merge check;
+      // a reader may pass them through with the original records.
+      (void)runtime_error_of(
+          [&] { EXPECT_EQ(dump_lines(path), lines) << "byte " << at; });
+      (void)runtime_error_of(
+          [&] { EXPECT_EQ(fold_sans_identity(), folded) << "byte " << at; });
+      (void)runtime_error_of([&] {
+        const auto recovered = StreamingSink::scan_existing(options, id, plan);
+        ASSERT_LE(recovered.records, n) << "byte " << at;
+        EXPECT_EQ(recovered.partial.to_json().dump(),
+                  prefix_partials[recovered.records])
+            << "byte " << at;
+      });
+    }
+  }
 }
 
 }  // namespace

@@ -18,7 +18,9 @@ void expect_exact_cover(const ShardPlan& plan) {
       ASSERT_LT(g, plan.grid_size());
       EXPECT_TRUE(seen.insert(g).second) << "index " << g << " owned twice";
       EXPECT_EQ(plan.shard_of(g), k);
-      if (j > 0) EXPECT_GT(g, previous) << "shard enumeration must ascend";
+      if (j > 0) {
+        EXPECT_GT(g, previous) << "shard enumeration must ascend";
+      }
       previous = g;
       ++total;
     }
@@ -80,7 +82,7 @@ TEST(ShardStrategyNames, RoundTrip) {
             ShardStrategy::kRange);
   EXPECT_EQ(strategy_from_name(strategy_name(ShardStrategy::kStrided)),
             ShardStrategy::kStrided);
-  EXPECT_THROW(strategy_from_name("diagonal"), std::invalid_argument);
+  EXPECT_THROW((void)strategy_from_name("diagonal"), std::invalid_argument);
 }
 
 }  // namespace

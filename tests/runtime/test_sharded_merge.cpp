@@ -175,12 +175,12 @@ TEST_F(ShardedMergeTest, ResumeAfterKillIsByteIdentical) {
   const auto clean = run_worker(spec);
   ASSERT_TRUE(clean.complete);
 
-  // Killed after 4 records, then resumed.
+  // Killed after 6 records (two whole chunks), then resumed.
   spec.output = stem("killed");
-  const auto first = run_worker(spec, /*max_new_records=*/4);
+  const auto first = run_worker(spec, /*max_new_records=*/6);
   EXPECT_FALSE(first.complete);
-  EXPECT_EQ(first.shard_records, 4u);
-  // A real kill can also tear the in-flight line; simulate that too.
+  EXPECT_EQ(first.shard_records, 6u);
+  // A real kill can also tear the in-flight chunk; simulate that too.
   {
     std::ofstream out(first.records_path, std::ios::binary | std::ios::app);
     out << "{\"i\":torn";
@@ -188,8 +188,8 @@ TEST_F(ShardedMergeTest, ResumeAfterKillIsByteIdentical) {
   spec.resume = true;
   const auto second = run_worker(spec);
   EXPECT_TRUE(second.complete);
-  EXPECT_EQ(second.resumed_records, 4u);
-  EXPECT_EQ(second.evaluated_records, clean.shard_records - 4u);
+  EXPECT_EQ(second.resumed_records, 6u);
+  EXPECT_EQ(second.evaluated_records, clean.shard_records - 6u);
 
   EXPECT_EQ(read_file(second.records_path), read_file(clean.records_path));
   // Partials agree on everything except wall time; compare via merge with
@@ -224,7 +224,7 @@ std::string checkpoint_sans_wall(const std::string& path) {
   return doc.dump();
 }
 
-TEST_F(ShardedMergeTest, SteppedShardRunMatchesOneRunInBothFormats) {
+TEST_F(ShardedMergeTest, SteppedShardRunMatchesOneRun) {
   WorkerSpec spec;
   spec.grid.factory = "remote";
   spec.grid.frame_size = 500;
@@ -232,70 +232,62 @@ TEST_F(ShardedMergeTest, SteppedShardRunMatchesOneRunInBothFormats) {
   spec.grid.axes = {{"frame_size", {300, 400, 500, 600, 700, 800}, {}},
                     {"cpu_ghz", {1.0, 1.5, 2.0, 3.0}, {}},
                     {"codec_mbps", {2.0, 8.0, 12.0}, {}}};
-  spec.shard_id = 1;
+  spec.shard_id = 0;
   spec.shard_count = 2;
   spec.chunk_records = 3;
-  for (const RecordFormat format : {RecordFormat::kJsonl,
-                                    RecordFormat::kBinary}) {
-    SCOPED_TRACE(format_name(format));
-    spec.format = format;
-    spec.resume = false;
-    spec.shard_id = 0;
-    spec.output = stem(std::string("sibling.") + format_name(format));
-    const auto sibling = run_worker(spec);
-    spec.shard_id = 1;
-    spec.output = stem(std::string("clean.") + format_name(format));
-    const auto clean = run_worker(spec);
-    ASSERT_TRUE(clean.complete);
-    ASSERT_GT(clean.shard_records, 7u * spec.chunk_records);
-    const auto expect_clean = [&](const WorkerOutcome& out) {
-      EXPECT_TRUE(out.complete);
-      EXPECT_EQ(read_file(out.records_path), read_file(clean.records_path));
-      EXPECT_EQ(checkpoint_sans_wall(out.partial_path),
-                checkpoint_sans_wall(clean.partial_path));
-      std::string why;
-      EXPECT_TRUE(summaries_equivalent(
-          merge_partials({sibling.partial, clean.partial}),
-          merge_partials({sibling.partial, out.partial}), &why))
-          << why;
-    };
+  spec.output = stem("sibling");
+  const auto sibling = run_worker(spec);
+  spec.shard_id = 1;
+  spec.output = stem("clean");
+  const auto clean = run_worker(spec);
+  ASSERT_TRUE(clean.complete);
+  ASSERT_GT(clean.shard_records, 7u * spec.chunk_records);
+  const auto expect_clean = [&](const WorkerOutcome& out) {
+    EXPECT_TRUE(out.complete);
+    EXPECT_EQ(read_file(out.records_path), read_file(clean.records_path));
+    EXPECT_EQ(checkpoint_sans_wall(out.partial_path),
+              checkpoint_sans_wall(clean.partial_path));
+    std::string why;
+    EXPECT_TRUE(summaries_equivalent(
+        merge_partials({sibling.partial, clean.partial}),
+        merge_partials({sibling.partial, out.partial}), &why))
+        << why;
+  };
 
-    // One open, then slices of whole chunks (and one off the chunk grid,
-    // which must reopen through the resume scan), as a serving worker
-    // steps a lease.
-    for (const std::size_t slice : {std::size_t{3}, std::size_t{6},
-                                     std::size_t{21}, std::size_t{4}}) {
-      SCOPED_TRACE("slice " + std::to_string(slice));
-      spec.output = stem("stepped." + std::to_string(slice) + "." +
-                         format_name(format));
-      ShardRun run(spec);
-      WorkerOutcome out;
-      std::size_t evaluated = 0, resumed = 0;
-      do {
-        out = run.step(slice);
-        evaluated += out.evaluated_records;
-        resumed += out.resumed_records;
-      } while (!out.complete && out.evaluated_records > 0);
-      if (slice % spec.chunk_records == 0) {
-        EXPECT_EQ(evaluated, clean.shard_records);
-        EXPECT_EQ(resumed, 0u) << "a chunk-aligned step rescanned its stem";
-      }
-      expect_clean(out);
+  // One open, then slices of whole chunks (and one off the chunk grid,
+  // which must reopen through the resume scan), as a serving worker
+  // steps a lease.
+  for (const std::size_t slice : {std::size_t{3}, std::size_t{6},
+                                   std::size_t{21}, std::size_t{4}}) {
+    SCOPED_TRACE("slice " + std::to_string(slice));
+    spec.output = stem("stepped." + std::to_string(slice));
+    ShardRun run(spec);
+    WorkerOutcome out;
+    std::size_t evaluated = 0, resumed = 0;
+    do {
+      out = run.step(slice);
+      evaluated += out.evaluated_records;
+      resumed += out.resumed_records;
+    } while (!out.complete && out.evaluated_records > 0);
+    if (slice % spec.chunk_records == 0) {
+      EXPECT_EQ(evaluated, clean.shard_records);
+      EXPECT_EQ(resumed, 0u) << "a chunk-aligned step rescanned its stem";
     }
-
-    // Kill between slices: the run is dropped after two slices and a new
-    // run_worker call resumes the stem.
-    spec.output = stem(std::string("killed.") + format_name(format));
-    {
-      ShardRun run(spec);
-      (void)run.step(6);
-      EXPECT_EQ(run.step(6).shard_records, 12u);
-    }
-    spec.resume = true;
-    const auto resumed = run_worker(spec);
-    EXPECT_EQ(resumed.resumed_records, 12u);
-    expect_clean(resumed);
+    expect_clean(out);
   }
+
+  // Kill between slices: the run is dropped after two slices and a new
+  // run_worker call resumes the stem.
+  spec.output = stem("killed");
+  {
+    ShardRun run(spec);
+    (void)run.step(6);
+    EXPECT_EQ(run.step(6).shard_records, 12u);
+  }
+  spec.resume = true;
+  const auto resumed = run_worker(spec);
+  EXPECT_EQ(resumed.resumed_records, 12u);
+  expect_clean(resumed);
 }
 
 TEST_F(ShardedMergeTest, AFailedStepRetiresTheShardRun) {
@@ -402,6 +394,12 @@ TEST_F(ShardedMergeTest, WorkerSpecJsonRoundTrips) {
   EXPECT_EQ(back.threads, 2u);
   EXPECT_TRUE(back.resume);
   EXPECT_EQ(back.grid.build().size(), spec.grid.build().size());
+
+  // The one record encoding is never written but may still be named.
+  Json doc = spec.to_json();
+  EXPECT_EQ(doc.find("format"), nullptr);
+  doc.set("format", "binary");
+  EXPECT_EQ(WorkerSpec::from_json(doc).output, "out/shard2");
 }
 
 }  // namespace

@@ -54,10 +54,21 @@ std::string read_file(const std::string& path) {
 TEST_F(StreamingSinkTest, RecordRoundTripIsBitwiseExact) {
   const auto grid = small_grid();
   const core::XrPerformanceModel model;
-  for (std::size_t i : {std::size_t{0}, grid.size() / 2, grid.size() - 1}) {
+  const ShardIdentity id{0, 1, ShardStrategy::kRange, grid.size()};
+  const std::size_t picks[] = {0, grid.size() / 2, grid.size() - 1};
+  {
+    RecordSink sink(SinkOptions{stem("trip")}, id);
+    for (std::size_t i : picks) sink.append(i, model.evaluate(grid.at(i)), nullptr);
+    (void)sink.flush();
+  }
+  RecordSource source(stem("trip") + ".xrb");
+  for (std::size_t i : picks) {
     const auto report = model.evaluate(grid.at(i));
-    const auto parsed = parse_record_line(record_line(i, report));
+    ParsedRecord parsed;
+    ASSERT_TRUE(source.next(parsed));
     EXPECT_EQ(parsed.index, i);
+    // The dump of the decoded record is the line of the original.
+    EXPECT_EQ(record_line(parsed.index, parsed.report), record_line(i, report));
     EXPECT_EQ(parsed.report.latency.total, report.latency.total);
     EXPECT_EQ(parsed.report.latency.buffer_wait, report.latency.buffer_wait);
     EXPECT_EQ(parsed.report.energy.total, report.energy.total);
@@ -182,12 +193,11 @@ TEST_F(StreamingSinkTest, WritesChunkedRecordsAndCheckpoints) {
   const auto partial = sink.finalize();
   EXPECT_EQ(partial.evaluated(), grid.size());
 
-  // Every record is one parseable line with the right index.
-  std::ifstream in(sink.records_path());
-  std::string line;
+  // Every record decodes back with the right index.
+  RecordSource source(sink.records_path());
+  ParsedRecord record;
   std::size_t count = 0;
-  while (std::getline(in, line)) {
-    const auto record = parse_record_line(line);
+  while (source.next(record)) {
     EXPECT_EQ(record.index, count);
     ++count;
   }
@@ -211,29 +221,29 @@ TEST_F(StreamingSinkTest, ScanRecoversPrefixAndDropsTornTail) {
 
   {
     StreamingSink sink(options, id);
-    for (std::size_t i = 0; i < 5; ++i)
+    for (std::size_t i = 0; i < 4; ++i)
       sink.append(i, model.evaluate(grid.at(i)));
     sink.flush();
   }
-  const std::string intact = read_file(options.output_stem + ".jsonl");
+  const std::string intact = read_file(options.output_stem + ".xrb");
 
-  // Append a torn line (a kill mid-write).
+  // Append a torn chunk (a kill mid-write).
   {
-    std::ofstream out(options.output_stem + ".jsonl",
+    std::ofstream out(options.output_stem + ".xrb",
                       std::ios::binary | std::ios::app);
-    out << "{\"i\":5,\"latency\":{\"to";
+    out << "XRBCHNK1\x02";
   }
   const auto recovered = StreamingSink::scan_existing(options, id, plan);
-  EXPECT_EQ(recovered.records, 5u);
+  EXPECT_EQ(recovered.records, 4u);
   EXPECT_EQ(recovered.valid_bytes, intact.size());
-  EXPECT_EQ(recovered.partial.evaluated(), 5u);
+  EXPECT_EQ(recovered.partial.evaluated(), 4u);
 
   // Resuming truncates the torn tail before appending.
   {
     StreamingSink sink(options, id, &recovered);
-    EXPECT_EQ(sink.records_written(), 5u);
+    EXPECT_EQ(sink.records_written(), 4u);
+    sink.append(4, model.evaluate(grid.at(4)));
     sink.append(5, model.evaluate(grid.at(5)));
-    sink.flush();
   }
   const auto again = StreamingSink::scan_existing(options, id, plan);
   EXPECT_EQ(again.records, 6u);
@@ -244,23 +254,23 @@ TEST_F(StreamingSinkTest, ScanStopsAtCorruptOrMisorderedLines) {
   const core::XrPerformanceModel model;
   SinkOptions options;
   options.output_stem = stem("sweep");
-  options.chunk_records = 8;
+  options.chunk_records = 2;
   const ShardIdentity id{0, 1, ShardStrategy::kRange, grid.size()};
   const ShardPlan plan(grid.size(), 1, ShardStrategy::kRange);
 
-  // Write records 0..3 but swap record 2's index to 7: the scan must stop
-  // after the first two records.
+  // Write records 0 and 1, then a chunk carrying indices 7 and 3: the scan
+  // must stop after the first two records.
   {
     StreamingSink sink(options, id);
     for (std::size_t i = 0; i < 2; ++i)
       sink.append(i, model.evaluate(grid.at(i)));
-    sink.flush();
   }
   {
-    std::ofstream out(options.output_stem + ".jsonl",
-                      std::ios::binary | std::ios::app);
-    out << record_line(7, model.evaluate(grid.at(7))) << '\n';
-    out << record_line(3, model.evaluate(grid.at(3))) << '\n';
+    const std::size_t valid = read_file(options.output_stem + ".xrb").size();
+    RecordSink sink(options, id, &valid);
+    sink.append(7, model.evaluate(grid.at(7)), nullptr);
+    sink.append(3, model.evaluate(grid.at(3)), nullptr);
+    (void)sink.flush();
   }
   const auto recovered = StreamingSink::scan_existing(options, id, plan);
   EXPECT_EQ(recovered.records, 2u);

@@ -2,8 +2,8 @@
 // monolithically (run_request) or sharded (run_worker per shard + merge)
 // with bitwise-equal summaries; an offload_plan reduction over it merges to
 // an OffloadPlan byte-identical to the monolithic plan_offload call; and
-// the metrics (slim-record) execution mode changes the JSONL schema without
-// touching the merge law.
+// the metrics (slim-record) execution mode changes the record schema
+// without touching the merge law.
 #include "runtime/sweep_request.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "core/optimizer.h"
 #include "runtime/offload_search.h"
 #include "runtime/batch_evaluator.h"
+#include "runtime/shard/binary_stream.h"
 #include "runtime/shard/merge.h"
 #include "runtime/shard/worker.h"
 
@@ -104,6 +105,22 @@ TEST_F(SweepRequestTest, RejectsBadDocuments) {
   EXPECT_THROW((void)SweepRequest::from_json(gt_plan.to_json()),
                std::invalid_argument);
   EXPECT_THROW((void)core::plan_offload(gt_plan), std::invalid_argument);
+
+  // The record encoding has one value: "binary" parses and is not
+  // written back, and the retired text encoding is refused by name.
+  Json execution = demo_request().execution.to_json();
+  EXPECT_EQ(execution.find("format"), nullptr);
+  execution.set("format", "binary");
+  EXPECT_EQ(ExecutionSpec::from_json(execution).to_json().dump(),
+            demo_request().execution.to_json().dump());
+  execution.set("format", "jsonl");
+  try {
+    (void)ExecutionSpec::from_json(execution);
+    ADD_FAILURE() << "a jsonl record format must be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("sweep_merge --dump"),
+              std::string::npos);
+  }
 }
 
 TEST_F(SweepRequestTest, RunRequestMatchesBatchEvaluatorBitwise) {
@@ -218,11 +235,19 @@ TEST_F(SweepRequestTest, OffloadSearchSpaceRoundTripsAndValidates) {
 
 // ---- metrics (slim-record) execution mode ------------------------------
 
+/// The first record of a stream, decoded.
+shard::ParsedRecord first_record(const std::string& path) {
+  shard::RecordSource source(path);
+  shard::ParsedRecord r;
+  EXPECT_TRUE(source.next(r)) << path << " holds no record";
+  return r;
+}
+
+/// The first record of a stream as `sweep_merge --dump` prints it.
 std::string first_line(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::string line;
-  std::getline(in, line);
-  return line;
+  const shard::ParsedRecord r = first_record(path);
+  return shard::record_line(r.index, r.report, r.gt ? &*r.gt : nullptr,
+                            r.slim);
 }
 
 TEST_F(SweepRequestTest, MetricsRecordsFollowTheSlimSchema) {
@@ -243,8 +268,8 @@ TEST_F(SweepRequestTest, MetricsRecordsFollowTheSlimSchema) {
   EXPECT_EQ(members[1].first, "latency_ms");
   EXPECT_EQ(members[2].first, "energy_mj");
 
-  // Slim records still parse, flagged as slim, with the exact totals.
-  const auto parsed = shard::parse_record_line(first_line(outcome.records_path));
+  // Slim records decode flagged as slim, with the exact totals.
+  const auto parsed = first_record(outcome.records_path);
   EXPECT_TRUE(parsed.slim);
   const auto reference = core::XrPerformanceModel{}.evaluate(
       request.grid.build().at(0));
@@ -257,6 +282,7 @@ TEST_F(SweepRequestTest, MetricsModeHoldsTheMergeLawAndResumes) {
   const auto full = run_request(request);
 
   request.execution.metrics = true;
+  request.execution.chunk_records = 2;
   const auto slim =
       run_sharded(request, stem("m"), 3, shard::ShardStrategy::kRange);
   std::string why;
@@ -265,7 +291,6 @@ TEST_F(SweepRequestTest, MetricsModeHoldsTheMergeLawAndResumes) {
   // Kill/resume in metrics mode is byte-identical to an uninterrupted run.
   auto spec = shard::WorkerSpec::from_request(
       request, 0, 3, shard::ShardStrategy::kRange, stem("resumed"));
-  spec.chunk_records = 2;
   const auto first = shard::run_worker(spec, /*max_new_records=*/2);
   ASSERT_FALSE(first.complete);
   spec.resume = true;
@@ -273,7 +298,7 @@ TEST_F(SweepRequestTest, MetricsModeHoldsTheMergeLawAndResumes) {
   ASSERT_TRUE(resumed.complete);
 
   std::ifstream a(resumed.records_path, std::ios::binary);
-  std::ifstream b(stem("m") + "0.jsonl", std::ios::binary);
+  std::ifstream b(stem("m") + "0.xrb", std::ios::binary);
   std::stringstream sa, sb;
   sa << a.rdbuf();
   sb << b.rdbuf();
@@ -289,14 +314,14 @@ TEST_F(SweepRequestTest, MetricsModeMismatchedResumeRewritesTheStream) {
       request, 0, 3, shard::ShardStrategy::kRange, stem("mixed"));
   const auto full = shard::run_worker(spec);
   ASSERT_TRUE(full.complete);
-  EXPECT_FALSE(shard::parse_record_line(first_line(full.records_path)).slim);
+  EXPECT_FALSE(first_record(full.records_path).slim);
 
   spec.metrics = true;
   spec.resume = true;
   const auto rewritten = shard::run_worker(spec);
   ASSERT_TRUE(rewritten.complete);
   EXPECT_EQ(rewritten.resumed_records, 0u);  // nothing salvageable
-  EXPECT_TRUE(shard::parse_record_line(first_line(rewritten.records_path)).slim);
+  EXPECT_TRUE(first_record(rewritten.records_path).slim);
 }
 
 }  // namespace

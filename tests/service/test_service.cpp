@@ -196,7 +196,6 @@ TEST_F(SweepServiceTest, InLeaseHeartbeatsArePacedByHeartbeatMs) {
 
 TEST_F(SweepServiceTest, WorkerCrashAndLateJoinerKeepOutputBitwise) {
   SweepRequest request = demo_request();
-  request.execution.format = shard::RecordFormat::kBinary;  // binary leg
   // Chunk == slice so the crash leaves a flushed, chunk-aligned 2-of-4
   // record prefix for the reassigned attempt to resume.
   request.execution.chunk_records = 2;

@@ -42,7 +42,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: sweep_coordinator --request FILE --mail DIR --shard-dir DIR\n"
-      "                         [--shards K] [--format jsonl|binary]\n"
+      "                         [--shards K]\n"
       "                         [--chunk-records N]\n"
       "                         [--lease-timeout-ms N] [--poll-ms N]\n"
       "                         [--max-attempts N] [--shutdown-grace-ms N]\n"
@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
   try {
     std::string request_path, mail_root, out_path, check_path, plan_out_path;
     std::string metrics_out, partial_out;
-    std::optional<RecordFormat> format;
     std::optional<std::size_t> chunk_records;
     CoordinatorOptions options;
     for (int i = 1; i < argc; ++i) {
@@ -84,7 +83,6 @@ int main(int argc, char** argv) {
       else if (arg == "--mail") mail_root = value();
       else if (arg == "--shard-dir") options.shard_dir = value();
       else if (arg == "--shards") options.shards = parse_size(arg, value());
-      else if (arg == "--format") format = format_from_name(value());
       else if (arg == "--chunk-records")
         chunk_records = parse_size(arg, value());
       else if (arg == "--lease-timeout-ms")
@@ -118,10 +116,8 @@ int main(int argc, char** argv) {
 
     auto request = xr::runtime::SweepRequest::from_json(
         Json::parse(read_text_file(request_path)));
-    // Record format and checkpoint chunk are execution mechanics, not
-    // sweep identity: an override changes the stream encoding or flush
-    // cadence, never the fingerprint.
-    if (format) request.execution.format = *format;
+    // The checkpoint chunk is execution mechanics, not sweep identity: an
+    // override changes the flush cadence, never the fingerprint.
     if (chunk_records) {
       if (*chunk_records == 0)
         throw std::runtime_error("--chunk-records must be >= 1");

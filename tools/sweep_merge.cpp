@@ -3,10 +3,15 @@
 //   $ sweep_merge --out merged.summary.json
 //                 out/s0.partial.json out/s1.partial.json ...
 //
-// Operands may be .partial.json checkpoints or record streams directly
-// (.jsonl with its sibling checkpoint for identity, or self-identifying
-// .xrb binary streams), in any mix — each path is autodetected by
+// Operands may be .partial.json checkpoints or .xrb record streams (which
+// carry their own identity), in any mix — each path is told apart by its
 // extension and folded into the same merge.
+//
+//   $ sweep_merge --dump out/s0.xrb | grep '"i":42,'
+//
+// --dump prints one record stream as JSON lines, one record per line in
+// stream order (runtime/shard/record_stream.h's record_line), and does
+// nothing else.
 //
 // With --check FILE the merged summary is compared field-by-field (bitwise
 // on every double) against a reference summary — typically the one a
@@ -29,6 +34,7 @@
 #include "core/optimizer.h"
 #include "obs/snapshot.h"
 #include "runtime/offload_search.h"
+#include "runtime/shard/binary_stream.h"
 #include "runtime/shard/merge.h"
 #include "runtime/sweep_request.h"
 
@@ -38,8 +44,24 @@ void usage() {
   std::fprintf(stderr,
                "usage: sweep_merge [--out FILE] [--check FILE] "
                "[--request FILE [--plan-out FILE]] "
-               "[--metrics-out FILE] (PARTIAL.json|RECORDS.jsonl|"
-               "RECORDS.xrb)...\n");
+               "[--metrics-out FILE] (PARTIAL.json|RECORDS.xrb)...\n"
+               "       sweep_merge --dump RECORDS.xrb\n");
+}
+
+/// Print every record of one stream as a JSON line on stdout.
+void dump_records(const std::string& path) {
+  using namespace xr::runtime::shard;
+  RecordSource source(path);
+  ParsedRecord r;
+  std::string line;
+  while (source.next(r)) {
+    line = record_line(r.index, r.report, r.gt ? &*r.gt : nullptr, r.slim);
+    line += '\n';
+    if (std::fwrite(line.data(), 1, line.size(), stdout) != line.size())
+      throw std::runtime_error("cannot write to stdout");
+  }
+  if (std::fflush(stdout) != 0)
+    throw std::runtime_error("cannot write to stdout");
 }
 
 }  // namespace
@@ -48,7 +70,7 @@ int main(int argc, char** argv) {
   using namespace xr::runtime::shard;
   try {
     std::string out_path, check_path, request_path, plan_out_path;
-    std::string metrics_out;
+    std::string metrics_out, dump_path;
     std::vector<std::string> partial_paths;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -62,12 +84,21 @@ int main(int argc, char** argv) {
       else if (arg == "--request") request_path = value();
       else if (arg == "--plan-out") plan_out_path = value();
       else if (arg == "--metrics-out") metrics_out = value();
+      else if (arg == "--dump") dump_path = value();
       else if (arg == "--help" || arg == "-h") {
         usage();
         return 0;
       } else {
         partial_paths.push_back(arg);
       }
+    }
+    if (!dump_path.empty()) {
+      if (argc != 3) {
+        usage();
+        return 2;
+      }
+      dump_records(dump_path);
+      return 0;
     }
     if (partial_paths.empty() ||
         (!plan_out_path.empty() && request_path.empty())) {

@@ -22,10 +22,9 @@
 //   $ sweep_plan --request adaptive.json --summary-out mono.summary.json
 //
 //   # derive the refinement set from a completed coarse pass (the K
-//   # pass-1 record streams — .jsonl or .xrb in any mix, autodetected —
-//   # any disjoint complete cover of the grid)
+//   # pass-1 record streams — any disjoint complete cover of the grid)
 //   $ sweep_plan --request adaptive.json --refine-out refine.json
-//                out/c0.jsonl out/c1.xrb out/c2.jsonl
+//                out/c0.xrb out/c1.xrb out/c2.xrb
 //
 // The sharded offload counterpart is `sweep_worker --request` per shard +
 // `sweep_merge --request ... --plan-out`; scripts/sweep_offload_plan.sh
@@ -43,6 +42,7 @@
 #include "core/serialize.h"
 #include "runtime/adaptive.h"
 #include "runtime/offload_search.h"
+#include "runtime/shard/binary_stream.h"
 #include "testbed/experiments.h"
 
 namespace {
@@ -57,8 +57,7 @@ void usage() {
       "                  [--band F]\n"
       "       sweep_plan --request FILE [--plan-out FILE]\n"
       "       sweep_plan --request FILE --summary-out FILE\n"
-      "       sweep_plan --request FILE --refine-out FILE "
-      "COARSE.jsonl|COARSE.xrb...\n");
+      "       sweep_plan --request FILE --refine-out FILE COARSE.xrb...\n");
 }
 
 double parse_num(const std::string& flag, const std::string& text) {
@@ -203,34 +202,20 @@ int main(int argc, char** argv) {
             " has no adaptive block");
       if (record_paths.empty())
         throw std::runtime_error(
-            "--refine-out needs the coarse record streams "
-            "(COARSE.jsonl|COARSE.xrb...)");
+            "--refine-out needs the coarse record streams (COARSE.xrb...)");
       const std::size_t grid_size = request.grid.build().size();
-      // Records carry no fingerprint per line, so provenance is verified
-      // through each stream's sibling checkpoint: it must identify THIS
-      // request's coarse pass — the same no-mixing contract resume and
-      // merge enforce.
+      // Each stream's header must identify THIS request's coarse pass —
+      // the same no-mixing contract resume and merge enforce.
       const std::uint64_t coarse_fp = xr::runtime::shard::grid_fingerprint(
           request.grid, xr::runtime::coarse_evaluator(request.evaluator,
                                                       *request.adaptive));
       for (const auto& path : record_paths) {
-        const auto format = xr::runtime::shard::format_from_path(path);
-        if (!format)
-          throw std::runtime_error(
-              "--refine-out expects <stem>.jsonl or <stem>.xrb record "
-              "streams; got '" + path + "'");
-        const std::string suffix =
-            xr::runtime::shard::format_extension(*format);
-        const std::string partial_path =
-            path.substr(0, path.size() - suffix.size()) + ".partial.json";
-        const auto partial = xr::runtime::shard::PartialReduction::from_json(
-            Json::parse(read_text_file(partial_path)));
-        if (partial.identity().grid_fingerprint != coarse_fp ||
-            partial.identity().grid_size != grid_size)
+        const auto header = xr::runtime::shard::read_binary_header(path);
+        if (header.id.grid_fingerprint != coarse_fp ||
+            header.id.grid_size != grid_size)
           throw std::runtime_error(
               path + " is not a coarse-pass stream of " + request_path +
-              " (checkpoint " + partial_path +
-              " carries a different sweep fingerprint)");
+              " (its header carries a different sweep fingerprint)");
       }
       const auto estimates = xr::runtime::coarse_estimates_from_records(
           record_paths, grid_size);

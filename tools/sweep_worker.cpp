@@ -1,12 +1,11 @@
 // sweep_worker — evaluate one shard of a scenario grid, streaming results.
 //
 // One process per shard; each writes a record stream of index-tagged
-// PerformanceReport records — <out>.jsonl, or <out>.xrb with
-// --format binary (the columnar encoding of runtime/shard/binary_stream.h)
-// — and <out>.partial.json (the mergeable reduction). sweep_merge folds K
-// partials back into the monolithic summary; the merge law holds across
-// formats, so shards of one sweep may mix encodings freely.
-// scripts/sweep_sharded.sh drives the whole flow.
+// PerformanceReport records — <out>.xrb, the columnar encoding of
+// runtime/shard/binary_stream.h — and <out>.partial.json (the mergeable
+// reduction). sweep_merge folds K partials back into the monolithic
+// summary, and `sweep_merge --dump <out>.xrb` prints the records as JSON
+// lines. scripts/sweep_sharded.sh drives the whole flow.
 //
 //   # shard 1 of 3 of the testbed ablation grid
 //   $ sweep_worker --ablation-grid --shard-id 1 --shard-count 3
@@ -27,7 +26,7 @@
 //   $ sweep_worker --request adaptive.json --pass coarse
 //                  --shard-id 0 --shard-count 3 --out out/c0
 //   $ sweep_plan --request adaptive.json --refine-out out/refine.json
-//                out/c0.jsonl out/c1.jsonl out/c2.jsonl
+//                out/c0.xrb out/c1.xrb out/c2.xrb
 //   $ sweep_worker --request adaptive.json --pass fine
 //                  --refine out/refine.json --coarse out/c0
 //                  --shard-id 0 --shard-count 3 --out out/f0
@@ -80,7 +79,6 @@ void usage() {
       "range|strided]\n"
       "                    [--evaluator analytical|ground_truth]\n"
       "                    [--gt-seed N] [--gt-frames N] [--metrics]\n"
-      "                    [--format jsonl|binary]\n"
       "                    [--pass coarse|fine] [--refine FILE | "
       "--refine-all]\n"
       "                    [--coarse STEM]\n"
@@ -283,8 +281,6 @@ int main(int argc, char** argv) {
         spec.grain = parse_size(arg, value());
       } else if (arg == "--metrics") {
         spec.metrics = true;
-      } else if (arg == "--format") {
-        spec.format = format_from_name(value());
       } else if (arg == "--resume") {
         spec.resume = true;
       } else if (arg == "--max-records") {
