@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 build+tests, warnings-clean (-Werror) library
-# builds with and without the stubs, and the batch-runtime determinism demo.
+# Repo verification: tier-1 build+tests, warnings-clean (-Werror) builds of
+# the library and tests, and of the library with the stubs, and the
+# batch-runtime determinism demo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,8 +10,9 @@ cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
-echo "== warnings-clean library build (-Wall -Wextra -Werror) =="
-cmake -B build-werror -S . -DXR_WERROR=ON -DXR_BUILD_TESTS=OFF \
+echo "== warnings-clean library and test build (-Wall -Wextra -Werror) =="
+# Builds the test suites too (build only: tier-1 above already ran them).
+cmake -B build-werror -S . -DXR_WERROR=ON \
       -DXR_BUILD_BENCH=OFF -DXR_BUILD_EXAMPLES=OFF
 cmake --build build-werror -j
 

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 
 #include "core/energy_model.h"
@@ -227,10 +229,10 @@ std::optional<DecisionBatchKernel> DecisionBatchKernel::prepare(
   };
 
   // Walk only the maximal dependency tuples, the ones no other segment's
-  // tuple strictly contains. Each segment is filled from the first walk
-  // whose tuple holds its own, at the walk entries whose coordinates
-  // outside its tuple are 0, so one built scenario serves every segment
-  // that reads it.
+  // tuple strictly contains. A walk entry's coordinates outside the walk's
+  // tuple are 0, so the entry is a table entry of every segment whose tuple
+  // holds its nonzero coordinates. Only the first walk whose tuple holds
+  // them builds it, and that one scenario fills every such segment.
   const auto holds = [](std::uint32_t outer, std::uint32_t inner) {
     return (outer & inner) == inner;
   };
@@ -243,12 +245,6 @@ std::optional<DecisionBatchKernel> DecisionBatchKernel::prepare(
     if (maximal && std::find(walks.begin(), walks.end(), own) == walks.end())
       walks.push_back(own);
   }
-  std::array<std::uint32_t, 11> walk_of{};
-  for (std::size_t seg = 0; seg < recipes.size(); ++seg)
-    walk_of[seg] = *std::find_if(walks.begin(), walks.end(),
-                                 [&](std::uint32_t walk) {
-                                   return holds(walk, seg_mask[seg]);
-                                 });
 
   // Read a segment off the same compiled model methods the scalar path
   // calls, into the entry `coords` addresses.
@@ -297,23 +293,25 @@ std::optional<DecisionBatchKernel> DecisionBatchKernel::prepare(
     coords[k] = 0;
   }
 
-  for (const std::uint32_t walk : walks) {
+  for (auto walk = walks.begin(); walk != walks.end(); ++walk) {
     std::vector<std::size_t> axes;
     for (std::size_t k = 0; k < coords.size(); ++k)
-      if (walk >> k & 1u) axes.push_back(k);
+      if (*walk >> k & 1u) axes.push_back(k);
     std::size_t entries = 1;
     for (std::size_t a : axes) entries *= kernel.radix_[a];
     for (std::size_t e = 0; e < entries; ++e) {
       std::uint32_t nonzero = 0;
       for (std::size_t a : axes)
         if (coords[a] != 0) nonzero |= 1u << a;
+      const bool first_walk =
+          std::none_of(walks.begin(), walk, [&](std::uint32_t earlier) {
+            return holds(earlier, nonzero);
+          });
       const bool local =
           placement_axis ? point_local[coords[*placement_axis]] : base_local;
       const core::ScenarioConfig* s = nullptr;
-      for (std::size_t seg = 0; seg < recipes.size(); ++seg) {
-        if (walk_of[seg] != walk || (nonzero & ~seg_mask[seg]) != 0 ||
-            !on_path(seg, local))
-          continue;
+      for (std::size_t seg = 0; first_walk && seg < recipes.size(); ++seg) {
+        if (!holds(seg_mask[seg], nonzero) || !on_path(seg, local)) continue;
         if (!s) {
           s = &cursor.at(coords);
           core::validate(*s);
@@ -348,8 +346,9 @@ std::size_t DecisionBatchKernel::table_entries() const noexcept {
 void DecisionBatchKernel::eval_range(std::size_t begin, std::size_t end,
                                      double* latency_out,
                                      double* energy_out) const {
+  // prepare() admits only the known knobs, each at most once.
   const std::size_t n_axes = radix_.size();
-  std::vector<std::size_t> coords(n_axes, 0);
+  std::array<std::size_t, std::size(kKnownKnobs)> coords{};
   std::size_t rest = begin;
   for (std::size_t k = n_axes; k-- > 0;) {
     coords[k] = rest % radix_[k];
@@ -384,8 +383,8 @@ void DecisionBatchKernel::eval_range(std::size_t begin, std::size_t end,
     total_mj += power.base_energy_mj(total_ms);
     total_mj += power.thermal_energy_mj(segment_sum);
 
-    latency_out[i] = total_ms;
-    energy_out[i] = total_mj;
+    latency_out[i - begin] = total_ms;
+    energy_out[i - begin] = total_mj;
 
     // Mixed-radix odometer, last axis fastest — ScenarioGrid::coords order.
     for (std::size_t k = n_axes; k-- > 0;) {
@@ -420,8 +419,8 @@ DecisionBatchKernel::Totals DecisionBatchKernel::run(
           chunks,
           [&](std::size_t c) {
             const std::size_t b = c * chunk;
-            eval_range(b, std::min(size_, b + chunk), out.latency_ms.data(),
-                       out.energy_mj.data());
+            eval_range(b, std::min(size_, b + chunk),
+                       out.latency_ms.data() + b, out.energy_mj.data() + b);
           },
           1);
     };
@@ -456,6 +455,24 @@ shard::MergedSummary DecisionBatchKernel::run_summary(
   partial.wall_ms = totals.wall_ms;
   partial.threads = totals.threads;
   return shard::merge_partials({partial});
+}
+
+void DecisionBatchKernel::fold_range(std::size_t begin, std::size_t end,
+                                     const BlockFold& fold) const {
+  if (begin > end || end > size_)
+    throw std::out_of_range("DecisionBatchKernel::fold_range: [" +
+                            std::to_string(begin) + ", " +
+                            std::to_string(end) + ") is outside the " +
+                            std::to_string(size_) + "-candidate grid");
+  std::array<double, kFoldBlock> latency{}, energy{};
+  for (std::size_t b = begin; b < end; b += kFoldBlock) {
+    const std::size_t count = std::min(kFoldBlock, end - b);
+    eval_range(b, b + count, latency.data(), energy.data());
+    fold(b, count, latency.data(), energy.data());
+  }
+  KernelMetrics& metrics = KernelMetrics::get();
+  metrics.runs.add();
+  metrics.decisions.add(end - begin);
 }
 
 std::optional<shard::MergedSummary> try_run_request_batched(

@@ -22,10 +22,11 @@
 //         placement coordinate (the base's when no axis sets it), so it is
 //         never built;
 //       - only the maximal dependency tuples (those no other segment's
-//         tuple contains) are walked; each segment is filled from the first
-//         walk whose tuple holds its own, at entries whose coordinates
-//         outside its tuple are 0, so one scenario, validated once, serves
-//         every segment that reads it;
+//         tuple contains) are walked, and an entry (its coordinates outside
+//         the walk's tuple are 0) is built only by the first walk whose
+//         tuple holds its nonzero coordinates; that one scenario, validated
+//         once, fills every on-path segment whose tuple holds them, so no
+//         scenario is built twice;
 //       - scenarios come from a ScenarioGrid::Cursor, which re-applies the
 //         grid's appliers only from the first changed axis;
 //       - since masked entries are never validated, one scenario per axis
@@ -63,12 +64,15 @@
 // run_request() routes analytical, non-adaptive requests through this
 // kernel (try_run_request_batched below) behind a process-wide toggle —
 // the same pattern as devices/memo.h — which makes plan_offload and the
-// OffloadPlanIndex miss path serve from it transparently.
+// OffloadPlanIndex miss path serve from it transparently. The index build
+// calls the kernel directly: one prepare per context slice, then one
+// fold_range per cell (runtime/plan_index.h).
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -78,9 +82,11 @@
 
 namespace xr::runtime {
 
-/// Enable/disable the SoA batch routing of run_request (default enabled).
-/// Never changes results — only which code path computes them (the bitwise
-/// gate above); exists for A/B benchmarks and the gate tests themselves.
+/// Enable/disable the SoA batch routing of run_request (default enabled),
+/// which covers plan_offload and the OffloadPlanIndex miss path; the index
+/// build always prepares the kernel. Never changes results — only which
+/// code path computes them (the bitwise gate above); exists for A/B
+/// benchmarks and the gate tests themselves.
 void set_batch_decision_kernel(bool enabled) noexcept;
 [[nodiscard]] bool batch_decision_kernel_enabled() noexcept;
 
@@ -118,6 +124,23 @@ class DecisionBatchKernel {
   [[nodiscard]] shard::MergedSummary run_summary(
       std::uint64_t fingerprint, const ExecutionSpec& execution) const;
 
+  /// Totals of the candidates first .. first + count - 1, in order.
+  using BlockFold =
+      std::function<void(std::size_t first, std::size_t count,
+                         const double* latency_ms, const double* energy_mj)>;
+  /// Candidates per block fold_range hands over.
+  static constexpr std::size_t kFoldBlock = 256;
+
+  /// Evaluate the candidates [begin, end) serially, in blocks of at most
+  /// kFoldBlock held on the stack, handing each block to `fold` in
+  /// ascending order — a contiguous sub-grid's totals without a buffer the
+  /// size of the range (a plan-index cell is one search grid's range of
+  /// its slice's kernel). Bitwise the totals run() computes; counts as one
+  /// run of end - begin decisions. Throws std::out_of_range unless
+  /// begin <= end <= size().
+  void fold_range(std::size_t begin, std::size_t end,
+                  const BlockFold& fold) const;
+
  private:
   DecisionBatchKernel() = default;
 
@@ -133,6 +156,7 @@ class DecisionBatchKernel {
     std::vector<double> energy_mj;
   };
 
+  /// Totals of candidates [begin, end) into out[0 .. end - begin).
   void eval_range(std::size_t begin, std::size_t end, double* latency_out,
                   double* energy_out) const;
 

@@ -12,8 +12,13 @@
 //   spec     — base scenario + numeric context axes (frame_size, cpu_ghz,
 //              throughput_mbps, ...) × one OffloadSearchSpace × alpha:
 //              everything needed to rebuild the index from scratch.
-//   build()  — one plan_offload per grid cell, row-major (axis 0 slowest,
-//              the ScenarioGrid order).
+//   build()  — one plan per grid cell, row-major (axis 0 slowest, the
+//              ScenarioGrid order), byte-identical to a plan_offload of
+//              the cell: one batch-kernel prepare per slice of the context
+//              grid (a value of axis 0 and of every axis on a knob the
+//              search grid also sets), then each cell folds its own
+//              candidate range of that slice's kernel (DESIGN.md, "Plan
+//              index", says why the plans cannot differ).
 //   serve()  — exact hit: the stored plan, without consulting the model at
 //              all (asserted by a submodel_lookup_count test);
 //              nearest hit: the stored plan of the per-axis nearest cell
@@ -79,8 +84,10 @@ class OffloadPlanIndex {
  public:
   static constexpr std::size_t kNoCell = std::size_t(-1);
 
-  /// Precompute one plan per scenario cell (through plan_offload, i.e. the
-  /// batch kernel when enabled). `options` sets the sweep thread count.
+  /// Precompute one plan per scenario cell, byte-identical to
+  /// plan_offload on the cell's search request; always on the batch
+  /// kernel. `options` sets the pool the cells' range folds run on (each
+  /// fold runs serially, so no plan depends on it).
   [[nodiscard]] static OffloadPlanIndex build(
       PlanIndexSpec spec, const core::XrPerformanceModel& model = {},
       const BatchOptions& options = {});

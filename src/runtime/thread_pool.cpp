@@ -7,6 +7,7 @@
 #include <deque>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/registry.h"
 
@@ -195,7 +196,12 @@ void ThreadPool::parallel_for(std::size_t n,
 
   std::unique_lock<std::mutex> lock(ctx->mtx);
   ctx->done_cv.wait(lock, [&] { return ctx->live_runners.load() == 0; });
-  if (ctx->error) std::rethrow_exception(ctx->error);
+  // Move the error out of the context, which a helper may release after
+  // this call returns: the exception's last reference then drops on this
+  // thread, not in the helper's uninstrumented libstdc++ refcount, which
+  // ThreadSanitizer reported as a race with the caller's catch block.
+  if (const std::exception_ptr error = std::exchange(ctx->error, nullptr))
+    std::rethrow_exception(error);
 }
 
 }  // namespace xr::runtime

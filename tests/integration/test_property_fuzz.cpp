@@ -2,6 +2,7 @@
 // framework's invariants hold on every one of them.
 #include <cmath>
 #include <gtest/gtest.h>
+#include <string>
 
 #include "core/framework.h"
 #include "core/optimizer.h"
@@ -30,10 +31,12 @@ core::ScenarioConfig random_scenario(math::Rng& rng) {
 
   s.sensors.clear();
   const int sensor_count = int(rng.uniform_int(1, 4));
-  for (int i = 0; i < sensor_count; ++i)
-    s.sensors.push_back(core::SensorConfig{
-        "s" + std::to_string(i), rng.uniform(20.0, 400.0),
-        rng.uniform(1.0, 300.0)});
+  for (int i = 0; i < sensor_count; ++i) {
+    std::string name("s");
+    name += std::to_string(i);
+    s.sensors.push_back(core::SensorConfig{name, rng.uniform(20.0, 400.0),
+                                           rng.uniform(1.0, 300.0)});
+  }
   s.updates_per_frame = int(rng.uniform_int(1, 6));
 
   s.buffer.service_rate_per_ms = rng.uniform(0.3, 3.0);
@@ -55,7 +58,8 @@ core::ScenarioConfig random_scenario(math::Rng& rng) {
     s.inference.edges.clear();
     for (int e = 0; e < edges; ++e) {
       core::EdgeConfig edge;
-      edge.name = "e" + std::to_string(e);
+      edge.name = "e";
+      edge.name += std::to_string(e);
       edge.omega_edge = 1.0 / double(edges);
       edge.cnn_name = rng.bernoulli(0.5) ? "YoloV3" : "YoloV7";
       if (rng.bernoulli(0.3)) edge.resource = rng.uniform(50.0, 300.0);

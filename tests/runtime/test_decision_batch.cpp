@@ -17,7 +17,9 @@
 #include "core/framework.h"
 #include "core/optimizer.h"
 #include "devices/memo.h"
+#include "obs/registry.h"
 #include "runtime/offload_search.h"
+#include "runtime/shard/merge.h"
 #include "runtime/sweep_request.h"
 
 namespace xr::runtime {
@@ -211,6 +213,96 @@ TEST(DecisionBatchKernel, FallsBackWhenDisabledOrIneligible) {
     gt.evaluator.kind = shard::EvaluatorKind::kGroundTruth;
     EXPECT_FALSE(try_run_request_batched(gt, model).has_value());
   }
+}
+
+/// 5 ω_c × 2 local CNNs × 2 edge CNNs × 3 edge counts × 3 bitrates: 360
+/// candidates, more than one fold block and not a multiple of one.
+core::OffloadSearchSpace reduced_space() {
+  core::OffloadSearchSpace space;
+  space.omega_c_grid = {0.0, 0.25, 0.5, 0.75, 1.0};
+  space.local_cnns = {"MobileNetv2_300_Float", "EfficientNet_Float"};
+  space.edge_cnns = {"YoloV3", "YoloV7"};
+  space.edge_counts = {1, 2, 4};
+  space.codec_bitrates_mbps = {2.0, 4.0, 8.0};
+  return space;
+}
+
+// The plan index's build path: context axes ahead of one search grid, one
+// prepare, and each cell's candidate range folded under the cell's own
+// request fingerprint. Every fold is the summary the scalar path computes
+// for that cell's request.
+TEST(DecisionBatchKernel, RangeFoldMatchesRunRequestPerCell) {
+  const core::XrPerformanceModel model;
+  const core::OffloadSearchSpace space = reduced_space();
+  GridSpec context;
+  context.factory = "remote";
+  context.axes = {axis("throughput_mbps", {40, 200}),
+                  axis("cpu_ghz", {1.0, 2.5, 3.0})};
+  const ScenarioGrid cells = context.build();
+  auto sliced = core::offload_search_request(cells.base(), space, 0.5);
+  sliced.grid.axes.insert(sliced.grid.axes.begin(), context.axes.begin(),
+                          context.axes.end());
+  const auto kernel = DecisionBatchKernel::prepare(sliced.grid, model);
+  ASSERT_TRUE(kernel.has_value());
+  const std::size_t n = kernel->size() / cells.size();
+  ASSERT_EQ(n, 360u);
+
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    const auto request =
+        core::offload_search_request(cells.at(cell), space, 0.5);
+    const std::size_t begin = cell * n;
+    shard::PartialReduction partial(
+        {0, 1, shard::ShardStrategy::kRange, n, request.fingerprint()});
+    kernel->fold_range(begin, begin + n,
+                       [&](std::size_t first, std::size_t count,
+                           const double* latency, const double* energy) {
+                         EXPECT_LE(count, DecisionBatchKernel::kFoldBlock);
+                         for (std::size_t i = 0; i < count; ++i)
+                           partial.add(first - begin + i, latency[i],
+                                       energy[i]);
+                       });
+    std::optional<shard::MergedSummary> scalar;
+    {
+      KernelToggle off(false);
+      scalar = run_request(request, model);
+    }
+    expect_summaries_bitwise_equal(shard::merge_partials({partial}), *scalar,
+                                   "cell " + std::to_string(cell));
+  }
+
+  const auto ignore = [](std::size_t, std::size_t, const double*,
+                         const double*) {};
+  EXPECT_THROW(kernel->fold_range(0, kernel->size() + 1, ignore),
+               std::out_of_range);
+  EXPECT_THROW(kernel->fold_range(2, 1, ignore), std::out_of_range);
+}
+
+// Each scenario a prepare needs is built once. On the 50,688-candidate
+// offload request (8 frame sizes ahead of the 6,336-candidate serving
+// space) that is 13,200 distinct table scenarios plus one validation per
+// axis value (58), where walking each segment from its own walk built the
+// 264 remote-placement scenarios both inference walks read twice.
+TEST(DecisionBatchKernel, PrepareBuildsEachScenarioOnce) {
+  if (!obs::kEnabled) GTEST_SKIP() << "XR_OBS_DISABLED build";
+  core::OffloadSearchSpace space;
+  space.omega_c_grid.clear();
+  for (int i = 0; i <= 32; ++i) space.omega_c_grid.push_back(i / 32.0);
+  space.local_cnns = {"MobileNetv2_300_Float", "EfficientNet_Float"};
+  space.edge_cnns = {"YoloV3", "YoloV7"};
+  space.edge_counts = {1, 2, 4};
+  space.codec_bitrates_mbps = {1, 2, 3, 4, 5, 6, 7, 8};
+  auto request =
+      core::offload_search_request(core::make_remote_scenario(), space, 0.5);
+  request.grid.axes.insert(
+      request.grid.axes.begin(),
+      axis("frame_size", {300, 350, 400, 450, 500, 550, 600, 650}));
+  const auto kernel = DecisionBatchKernel::prepare(request.grid);
+  ASSERT_TRUE(kernel.has_value());
+  ASSERT_EQ(kernel->size(), 50688u);
+  const auto snap = obs::Registry::global().snapshot();
+  const double* scenarios = snap.gauge("serving.kernel.scenarios");
+  ASSERT_NE(scenarios, nullptr);
+  EXPECT_EQ(*scenarios, 13258.0);
 }
 
 /// Dynamic type name of what `f` throws; empty when it returns normally.

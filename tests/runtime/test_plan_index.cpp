@@ -13,11 +13,15 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
+#include <utility>
+#include <vector>
 
 #include "core/framework.h"
 #include "core/optimizer.h"
 #include "core/serialize.h"
 #include "devices/memo.h"
+#include "obs/registry.h"
 #include "runtime/offload_search.h"
 
 namespace xr::runtime {
@@ -195,6 +199,160 @@ TEST(PlanIndex, FromJsonRejectsWrongPlanCount) {
   expect_throw_contains(
       [&] { (void)OffloadPlanIndex::from_json(trimmed); },
       "plans has 5 entries but the scenario grid has 6 cells");
+}
+
+// ---- build == one full search per cell ---------------------------------
+
+/// 5 ω_c × 2 local CNNs × 2 edge CNNs × 3 edge counts × 3 bitrates: 360
+/// candidates a cell, small enough to run a full search per cell.
+core::OffloadSearchSpace reduced_space() {
+  core::OffloadSearchSpace space;
+  space.omega_c_grid = {0.0, 0.25, 0.5, 0.75, 1.0};
+  space.local_cnns = {"MobileNetv2_300_Float", "EfficientNet_Float"};
+  space.edge_cnns = {"YoloV3", "YoloV7"};
+  space.edge_counts = {1, 2, 4};
+  space.codec_bitrates_mbps = {2.0, 4.0, 8.0};
+  return space;
+}
+
+PlanIndexSpec index_spec(const char* factory, std::vector<AxisSpec> axes,
+                         const core::OffloadSearchSpace& space) {
+  PlanIndexSpec spec;
+  spec.scenarios.factory = factory;
+  spec.scenarios.axes = std::move(axes);
+  spec.space = space;
+  spec.alpha = 0.5;
+  return spec;
+}
+
+/// One full plan_offload search per cell, in cell order: the reference
+/// every index build must reproduce byte for byte.
+std::vector<std::string> per_cell_plans(const PlanIndexSpec& spec) {
+  spec.validate();
+  const ScenarioGrid grid = spec.scenarios.build();
+  std::vector<std::string> plans;
+  for (std::size_t cell = 0; cell < grid.size(); ++cell)
+    plans.push_back(core::plan_offload(core::offload_search_request(
+                                           grid.at(cell), spec.space,
+                                           spec.alpha))
+                        .to_json()
+                        .dump());
+  return plans;
+}
+
+/// "<dynamic type>: <message>" of what `f` throws; empty when it returns.
+std::string thrown(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const std::exception& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+  return {};
+}
+
+// The build shares kernel tables across the cells of a context slice, but
+// every plan must stay byte-identical to a full search of its own cell:
+// for every order of the context axes, for context axes on knobs the
+// search grid also sets, for a base without edges, and at every thread
+// count. `slices` is the number of kernel prepares the build makes: one
+// per combination of values of axis 0 and of every axis on a knob the
+// search grid sets.
+TEST(PlanIndex, BuildMatchesPerCellSearch) {
+  const core::OffloadSearchSpace full = reduced_space();
+  core::OffloadSearchSpace local_only = full;
+  local_only.include_remote = false;
+  const AxisSpec frame = numeric_axis("frame_size", {300, 500, 700});
+  const AxisSpec throughput = numeric_axis("throughput_mbps", {40, 120, 200});
+  const AxisSpec cpu = numeric_axis("cpu_ghz", {1.0, 2.0, 3.0});
+  struct Case {
+    std::string name;
+    PlanIndexSpec spec;
+    std::size_t slices;
+  };
+  const std::vector<Case> cases = {
+      {"frame, throughput, cpu",
+       index_spec("remote", {frame, throughput, cpu}, full), 3},
+      {"throughput, frame, cpu",
+       index_spec("remote", {throughput, frame, cpu}, full), 3},
+      {"cpu, throughput, frame",
+       index_spec("remote", {cpu, throughput, frame}, full), 3},
+      {"frame only", index_spec("remote", {frame}, full), 3},
+      {"frame, omega_c, throughput",
+       index_spec("remote",
+                  {frame, numeric_axis("omega_c", {0.2, 0.9}), throughput},
+                  full),
+       6},
+      {"throughput, codec_mbps, frame",
+       index_spec("remote",
+                  {throughput, numeric_axis("codec_mbps", {3, 6}), frame},
+                  full),
+       6},
+      {"cpu, edge_count",
+       index_spec("remote", {cpu, numeric_axis("edge_count", {1, 3})}, full),
+       6},
+      {"frame, throughput, omega_c",
+       index_spec("remote",
+                  {frame, throughput, numeric_axis("omega_c", {0.2, 0.9})},
+                  full),
+       6},
+      {"local factory: frame, edge_count",
+       index_spec("local", {frame, numeric_axis("edge_count", {1, 2})}, full),
+       6},
+      {"local factory, local-only space: frame, edge_count",
+       index_spec("local", {frame, numeric_axis("edge_count", {1, 2})},
+                  local_only),
+       3},
+  };
+  const auto prepares = [] {
+    const auto snap = obs::Registry::global().snapshot();
+    const auto* v = snap.counter("serving.kernel.prepares");
+    return v ? *v : 0u;
+  };
+  for (const Case& c : cases) {
+    const std::vector<std::string> expected = per_cell_plans(c.spec);
+    for (const std::size_t threads :
+         {std::size_t(1), std::size_t(0), std::size_t(3)}) {
+      const std::string label = c.name + ", threads " + std::to_string(threads);
+      const auto before = prepares();
+      const auto index =
+          OffloadPlanIndex::build(c.spec, {}, BatchOptions{threads});
+      if (obs::kEnabled) {
+        EXPECT_EQ(prepares() - before, c.slices) << label;
+      }
+      ASSERT_EQ(index.size(), expected.size()) << label;
+      for (std::size_t cell = 0; cell < expected.size(); ++cell)
+        ASSERT_EQ(index.plan_at(cell).to_json().dump(), expected[cell])
+            << label << ", cell " << cell;
+    }
+  }
+
+  // One invalid value: the build throws what the per-cell loop throws,
+  // type and message.
+  const std::vector<std::pair<std::string, PlanIndexSpec>> invalid = {
+      {"cpu_ghz 0",
+       index_spec("remote",
+                  {frame, throughput, numeric_axis("cpu_ghz", {1.0, 0.0})},
+                  full)},
+      {"throughput_mbps 0",
+       index_spec("remote",
+                  {frame, numeric_axis("throughput_mbps", {40, 0}), cpu},
+                  full)},
+      {"edge_count 1.5",
+       index_spec("remote",
+                  {frame, numeric_axis("edge_count", {1, 1.5}), throughput},
+                  full)},
+  };
+  for (const auto& [name, spec] : invalid) {
+    const std::string reference = thrown([&] { (void)per_cell_plans(spec); });
+    ASSERT_FALSE(reference.empty()) << name;
+    for (const std::size_t threads : {std::size_t(1), std::size_t(3)})
+      EXPECT_EQ(thrown([&] {
+                  (void)OffloadPlanIndex::build(spec, {},
+                                                BatchOptions{threads});
+                }),
+                reference)
+          << name << ", threads " << threads;
+  }
 }
 
 TEST(PlanIndex, QueriesMustMatchAxisArity) {

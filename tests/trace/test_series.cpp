@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace xr::trace {
 namespace {
 
@@ -19,7 +21,11 @@ TEST(SeriesSet, ReferencesSurviveNewSeries) {
   SeriesSet set("fig", "x", "y");
   auto& a = set.series("A");
   // Force internal growth; the old reference must stay valid.
-  for (int i = 0; i < 64; ++i) set.series("s" + std::to_string(i));
+  for (int i = 0; i < 64; ++i) {
+    std::string name("s");
+    name += std::to_string(i);
+    set.series(name);
+  }
   a.add(1, 1);
   EXPECT_EQ(set.series("A").size(), 1u);
 }

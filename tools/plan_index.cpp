@@ -9,7 +9,8 @@
 //   $ plan_index --emit-spec --scenario scenario.json --space space.json
 //                --alpha 0.25 --gap 0.1 --axis cpu_ghz=1,2,3 > index.spec.json
 //
-//   # build: one plan_offload per scenario cell (SoA kernel when enabled)
+//   # build: one plan per scenario cell, byte-identical to a plan_offload
+//   # of the cell, from one SoA kernel prepare per context slice
 //   $ plan_index --build index.spec.json --out index.json [--threads N]
 //
 //   # serve one query (values in axis declaration order); prints whether
