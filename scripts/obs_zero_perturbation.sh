@@ -14,9 +14,8 @@
 #   1. a 2-shard ablation sweep and the local and remote Fig. 4
 #      ground-truth validation sweeps (200 frames, 4 threads): the .xrb
 #      record streams must be byte-identical, and the merged summaries
-#      bitwise equivalent (sweep_merge --check; .partial.json files carry
-#      wall-clock stats and are deliberately NOT diffed raw). The default
-#      tree runs these once more under
+#      bitwise equivalent (sweep_merge --check). The default tree runs
+#      these once more under
 #      GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA — the libm variants a
 #      host without FMA would pick — and those streams must match too;
 #   2. a plan-index build + serves across all three tiers (exact / snap /
@@ -68,9 +67,9 @@ cmake --build "$OFF_DIR" \
       --target sweep_worker sweep_merge plan_index sweep_plan \
                sweep_coordinator -j "$(nproc)" >/dev/null
 
-# Prefer tmpfs: the serving worker rewrites checkpoints every slice, and
-# a disk mounted with synchronous discard turns each rewrite into TRIM
-# latency that can outlast a lease.
+# Prefer tmpfs: the mailbox transport writes, renames and deletes one file
+# per message, and on a disk mounted with synchronous discard each delete
+# pays TRIM latency that can outlast a lease.
 TMP_ROOT="${TMPDIR:-/tmp}"
 if [[ -d /dev/shm && -w /dev/shm ]]; then TMP_ROOT=/dev/shm; fi
 OUT="$(mktemp -d "$TMP_ROOT/obs_zero.XXXXXX")"
@@ -87,7 +86,7 @@ run_sweep() {  # $1 = bindir, $2 = outdir
   done
   "$bin/sweep_merge" --out "$out/summary.json" \
                      --metrics-out "$out/merge.metrics.json" \
-                     "$out/s0.partial.json" "$out/s1.partial.json" >/dev/null
+                     "$out/s0.xrb" "$out/s1.xrb" >/dev/null
   for placement in local remote; do
     "$bin/sweep_worker" --validation-grid "$placement" \
                         --evaluator ground_truth --gt-frames 200 \
@@ -125,11 +124,7 @@ for f in "${SWEEP_STREAMS[@]}"; do
   cmp "$OUT/on/$f" "$OUT/nofma/$f" \
     || { echo "obs_zero_perturbation.sh: $f differs under GLIBC_TUNABLES" >&2; exit 1; }
 done
-# Summaries via the merge law's own equivalence (wall stats excluded),
-# from the checkpoints and from the record streams.
-"$BUILD_DIR/sweep_merge" --check "$OUT/off/summary.json" \
-                         "$OUT/on/s0.partial.json" "$OUT/on/s1.partial.json" \
-                         >/dev/null
+# Summaries via the merge law's own equivalence (wall stats excluded).
 "$BUILD_DIR/sweep_merge" --check "$OUT/off/summary.json" \
                          "$OUT/on/s0.xrb" "$OUT/on/s1.xrb" >/dev/null
 
@@ -171,12 +166,12 @@ for f in svc/shards/shard0.a0.xrb svc/shards/shard1.a0.xrb; do
 done
 # Summaries via the merge law's equivalence (wall stats excluded).
 "$BUILD_DIR/sweep_merge" --check "$OUT/off/svc/summary.json" \
-                         "$OUT/on/svc/shards/shard0.a0.partial.json" \
-                         "$OUT/on/svc/shards/shard1.a0.partial.json" >/dev/null
+                         "$OUT/on/svc/shards/shard0.a0.xrb" \
+                         "$OUT/on/svc/shards/shard1.a0.xrb" >/dev/null
 
 echo "== instrumentation present in the obs-on snapshots =="
 grep -q '"shard.worker.records_streamed":' "$OUT/on/s0.metrics.json"
-grep -q '"shard.worker.checkpoint_writes":' "$OUT/on/s0.metrics.json"
+grep -q '"shard.worker.chunks":' "$OUT/on/s0.metrics.json"
 grep -q '"shard.sink.binary.records":' "$OUT/on/s0.metrics.json"
 grep -q '"shard.sink.binary.bytes":' "$OUT/on/s0.metrics.json"
 grep -q '"shard.sink.flush_ms":' "$OUT/on/s0.metrics.json"

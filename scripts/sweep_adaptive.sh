@@ -83,16 +83,16 @@ for pid in "${pids[@]}"; do wait "$pid"; done
 
 echo
 echo "== merge + bitwise check against the monolithic adaptive summary =="
-partials=()
-for (( k=0; k<SHARDS; k++ )); do partials+=("$OUT/f$k.partial.json"); done
+records=()
+for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/f$k.xrb"); done
 "$MERGE" --request "$OUT/request.json" --out "$OUT/sharded.summary.json" \
-         --check "$OUT/mono.summary.json" "${partials[@]}"
+         --check "$OUT/mono.summary.json" "${records[@]}"
 
 echo
 echo "== full-fidelity reference: every point refined (pass-2 seeds) =="
 "$WORKER" --request "$OUT/request.json" --pass fine --refine-all \
           --shard-id 0 --shard-count 1 --out "$OUT/full"
-"$MERGE" --out "$OUT/full.summary.json" "$OUT/full.partial.json"
+"$MERGE" --out "$OUT/full.summary.json" "$OUT/full.xrb"
 
 echo
 echo "== refined argmin == full-fidelity argmin (index and value) =="

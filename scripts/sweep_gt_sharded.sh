@@ -6,8 +6,7 @@
 # Per-point simulator seeds derive from the global grid index, so shard
 # count, strategy, and resume position must not change a single bit: each
 # killed shard's resumed .xrb stream must be byte-identical to its clean
-# run, and the shards merge from checkpoints, from their record streams,
-# and from a mix of both to the monolithic summary.
+# run, and the shards' record streams merge to the monolithic summary.
 #
 #   usage: scripts/sweep_gt_sharded.sh [BUILD_DIR] [SHARDS]
 #
@@ -38,7 +37,7 @@ trap 'rm -rf "$OUT"' EXIT
 
 echo "== monolithic reference (shard_count = 1, ground_truth evaluator) =="
 "$WORKER" "${GT[@]}" --shard-id 0 --shard-count 1 --out "$OUT/mono"
-"$MERGE" --out "$OUT/mono.summary.json" "$OUT/mono.partial.json"
+"$MERGE" --out "$OUT/mono.summary.json" "$OUT/mono.xrb"
 
 echo
 echo "== range: $SHARDS concurrent ground-truth worker processes =="
@@ -55,7 +54,7 @@ for pid in "${pids[@]}"; do wait "$pid"; done
 kill_resume() {  # $1 = strategy, $2 = shard, $3 = records before the kill
   local strategy="$1" k="$2" n="$3" stem="$OUT/$1$2"
   cp "$stem.xrb" "$stem.clean.ref"
-  rm -f "$stem.xrb" "$stem.partial.json"
+  rm -f "$stem.xrb"
   "$WORKER" "${GT[@]}" --shard-id "$k" --shard-count "$SHARDS" \
             --strategy "$strategy" --out "$stem" --chunk 2 --max-records "$n"
   "$WORKER" "${GT[@]}" --shard-id "$k" --shard-count "$SHARDS" \
@@ -70,10 +69,10 @@ kill_resume range 1 2
 
 echo
 echo "== range merge + bitwise check against the monolithic summary =="
-partials=()
-for (( k=0; k<SHARDS; k++ )); do partials+=("$OUT/range$k.partial.json"); done
+records=()
+for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/range$k.xrb"); done
 "$MERGE" --out "$OUT/range.summary.json" \
-         --check "$OUT/mono.summary.json" "${partials[@]}"
+         --check "$OUT/mono.summary.json" "${records[@]}"
 
 echo
 echo "== strided: $SHARDS concurrent ground-truth worker processes =="
@@ -91,20 +90,10 @@ kill_resume strided 0 3
 
 echo
 echo "== strided merge + bitwise check against the monolithic summary =="
-partials=()
-for (( k=0; k<SHARDS; k++ )); do partials+=("$OUT/strided$k.partial.json"); done
-"$MERGE" --out "$OUT/strided.summary.json" \
-         --check "$OUT/mono.summary.json" "${partials[@]}"
-
-echo
-echo "== merge from the range .xrb streams + mixed stream/checkpoint merge =="
 records=()
-for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/range$k.xrb"); done
-"$MERGE" --out "$OUT/records.summary.json" \
+for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/strided$k.xrb"); done
+"$MERGE" --out "$OUT/strided.summary.json" \
          --check "$OUT/mono.summary.json" "${records[@]}"
-mixed=("$OUT/range0.xrb" "$OUT/range1.xrb")
-for (( k=2; k<SHARDS; k++ )); do mixed+=("$OUT/range$k.partial.json"); done
-"$MERGE" --check "$OUT/mono.summary.json" "${mixed[@]}"
 
 echo
-echo "sweep_gt_sharded.sh: OK (range and strided x$SHARDS == monolithic, bitwise, incl. kill/resume, streams, mixed)"
+echo "sweep_gt_sharded.sh: OK (range and strided x$SHARDS == monolithic, bitwise, incl. kill/resume)"

@@ -4,10 +4,9 @@
 # merge (sweep_merge --request --plan-out) to an OffloadPlan byte-identical
 # to the monolithic plan_offload call (sweep_plan --request --plan-out) —
 # best-latency, best-energy, best-weighted, and the full Pareto frontier.
-# Also exercises checkpoint/resume: one shard is killed early and resumed
-# before the merge, byte-identical to its clean run. The shards reduce to
-# the same byte-identical plan whether merged from their checkpoints or
-# straight from their .xrb record streams.
+# Also exercises kill/resume: one shard is killed early and resumed from
+# its record stream before the merge, byte-identical to its clean run. The
+# shards' .xrb record streams merge and reduce to the plan.
 #
 #   usage: scripts/sweep_offload_plan.sh [BUILD_DIR] [SHARDS]
 #
@@ -54,9 +53,9 @@ done
 for pid in "${pids[@]}"; do wait "$pid"; done
 
 echo
-echo "== checkpoint/resume: redo shard 1, killed after 5 records =="
+echo "== kill/resume: redo shard 1, killed after 5 records =="
 cp "$OUT/shard1.xrb" "$OUT/shard1.clean.ref"
-rm -f "$OUT/shard1.xrb" "$OUT/shard1.partial.json"
+rm -f "$OUT/shard1.xrb"
 "$WORKER" --request "$OUT/request.json" --shard-id 1 --shard-count "$SHARDS" \
           --out "$OUT/shard1" --chunk 8 --max-records 5
 "$WORKER" --request "$OUT/request.json" --shard-id 1 --shard-count "$SHARDS" \
@@ -76,15 +75,9 @@ merge_plan() {  # $1 = label, rest = operands
 }
 
 echo
-echo "== merge the checkpoints + reduce to the offload plan =="
-partials=()
-for (( k=0; k<SHARDS; k++ )); do partials+=("$OUT/shard$k.partial.json"); done
-merge_plan checkpoints "${partials[@]}"
-
-echo
-echo "== merge straight from the .xrb record streams =="
+echo "== merge the .xrb record streams + reduce to the offload plan =="
 records=()
 for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/shard$k.xrb"); done
 merge_plan records "${records[@]}"
 
-echo "sweep_offload_plan.sh: OK ($SHARDS shards -> OffloadPlan == monolithic, byte-identical, checkpoints + streams)"
+echo "sweep_offload_plan.sh: OK ($SHARDS shards -> OffloadPlan == monolithic, byte-identical)"

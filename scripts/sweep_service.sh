@@ -9,15 +9,15 @@
 #                 --crash-after-slices hook, a second worker joins late;
 #   * kill leg  — a worker killed for real (kill -9) mid-shard (paced by
 #                 --slice-delay-ms so the kill cannot miss), proving the
-#                 checkpoint/resume chunk grid holds through reassignment.
+#                 resume chunk grid holds through reassignment.
 #
 #   usage: scripts/sweep_service.sh [BUILD_DIR] [SHARDS]
 #
 # BUILD_DIR defaults to ./build (binaries: sweep_plan, sweep_worker,
 # sweep_coordinator); SHARDS defaults to 4 (must be >= 2). Work dirs live
-# on /dev/shm when available: the worker loop rewrites checkpoints every
-# slice, and a disk mounted with synchronous discard turns each rewrite
-# into TRIM latency that can outlast a lease.
+# on /dev/shm when available: the mailbox transport writes, renames and
+# deletes one file per message, and on a disk mounted with synchronous
+# discard each delete pays TRIM latency that can outlast a lease.
 set -euo pipefail
 
 BUILD_DIR="${1:-$(dirname "$0")/../build}"

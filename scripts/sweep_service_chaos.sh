@@ -26,7 +26,7 @@
 #   usage: scripts/sweep_service_chaos.sh [BUILD_DIR]
 #
 # BUILD_DIR defaults to ./build. Work dirs live on /dev/shm when available
-# (checkpoint rewrites vs synchronous-discard TRIM latency).
+# (per-message mailbox files vs synchronous-discard TRIM latency).
 set -euo pipefail
 
 BUILD_DIR="${1:-$(dirname "$0")/../build}"

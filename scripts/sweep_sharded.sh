@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Sharded sweep acceptance gate: K sweep_worker processes + sweep_merge over
 # the testbed ablation grid must reproduce the single-process summary
-# bitwise. Also demonstrates checkpoint/resume: two shards are stopped
-# early — one mid-chunk, one on a chunk boundary — resumed, and must come
-# out byte-identical to an uninterrupted run. The shards merge from their
-# checkpoints, from their .xrb record streams, and from a mix of the two,
-# each time to the same bitwise summary; and the concatenated
-# `sweep_merge --dump` of the K range shards equals the monolithic dump.
+# bitwise. Also demonstrates kill/resume: two shards are stopped early —
+# one mid-chunk, one on a chunk boundary — resumed from their record
+# streams, and must come out byte-identical to an uninterrupted run. The
+# shards merge from their .xrb record streams to the bitwise summary, and
+# the concatenated `sweep_merge --dump` of the K range shards equals the
+# monolithic dump.
 #
 #   usage: scripts/sweep_sharded.sh [BUILD_DIR] [SHARDS]
 #
@@ -33,7 +33,7 @@ trap 'rm -rf "$OUT"' EXIT
 
 echo "== monolithic reference (shard_count = 1) =="
 "$WORKER" --ablation-grid --shard-id 0 --shard-count 1 --out "$OUT/mono"
-"$MERGE" --out "$OUT/mono.summary.json" "$OUT/mono.partial.json"
+"$MERGE" --out "$OUT/mono.summary.json" "$OUT/mono.xrb"
 
 echo
 echo "== sharded run: $SHARDS concurrent worker processes =="
@@ -50,7 +50,7 @@ for pid in "${pids[@]}"; do wait "$pid"; done
 kill_resume() {  # $1 = shard, $2 = records before the kill
   local k="$1" n="$2"
   cp "$OUT/shard$k.xrb" "$OUT/shard$k.clean.ref"
-  rm -f "$OUT/shard$k.xrb" "$OUT/shard$k.partial.json"
+  rm -f "$OUT/shard$k.xrb"
   "$WORKER" --ablation-grid --shard-id "$k" --shard-count "$SHARDS" \
             --out "$OUT/shard$k" --chunk 4 --max-records "$n"
   "$WORKER" --ablation-grid --shard-id "$k" --shard-count "$SHARDS" \
@@ -65,24 +65,11 @@ kill_resume 0 3
 kill_resume 1 4
 
 echo
-echo "== merge from the checkpoints + bitwise check against the monolithic summary =="
-partials=()
-for (( k=0; k<SHARDS; k++ )); do partials+=("$OUT/shard$k.partial.json"); done
-"$MERGE" --out "$OUT/sharded.summary.json" \
-         --check "$OUT/mono.summary.json" "${partials[@]}"
-
-echo
-echo "== merge from the .xrb record streams themselves =="
+echo "== merge the .xrb record streams + bitwise check against the monolithic summary =="
 records=()
 for (( k=0; k<SHARDS; k++ )); do records+=("$OUT/shard$k.xrb"); done
-"$MERGE" --out "$OUT/records.summary.json" \
+"$MERGE" --out "$OUT/sharded.summary.json" \
          --check "$OUT/mono.summary.json" "${records[@]}"
-
-echo
-echo "== mixed merge: .xrb streams + checkpoint =="
-mixed=("$OUT/shard0.xrb" "$OUT/shard1.xrb")
-for (( k=2; k<SHARDS; k++ )); do mixed+=("$OUT/shard$k.partial.json"); done
-"$MERGE" --check "$OUT/mono.summary.json" "${mixed[@]}"
 
 echo
 echo "== dump: the K range shards' records, concatenated, are the monolithic records =="
@@ -95,4 +82,4 @@ cmp "$OUT/mono.dump" "$OUT/sharded.dump" \
   || { echo "sweep_sharded.sh: sharded dump differs from monolithic dump" >&2; exit 1; }
 
 echo
-echo "sweep_sharded.sh: OK ($SHARDS shards == monolithic, bitwise: checkpoints, streams, mixed, dumps)"
+echo "sweep_sharded.sh: OK ($SHARDS shards == monolithic, bitwise: streams, dumps)"

@@ -1,6 +1,5 @@
 #include "queueing/mm1.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace xr::queueing {
@@ -36,15 +35,6 @@ double MM1::mean_number_in_queue() const noexcept {
 }
 
 double MM1::probability_empty() const noexcept { return 1.0 - utilization(); }
-
-double MM1::probability_n(unsigned n) const noexcept {
-  const double rho = utilization();
-  return (1.0 - rho) * std::pow(rho, double(n));
-}
-
-double MM1::sojourn_tail(double t) const noexcept {
-  return std::exp(-(mu_ - lambda_) * t);
-}
 
 double MM1::average_aoi() const noexcept {
   const double rho = utilization();

@@ -32,10 +32,6 @@ class MM1 {
   [[nodiscard]] double mean_number_in_queue() const noexcept;
   /// P(system empty) = 1 - rho.
   [[nodiscard]] double probability_empty() const noexcept;
-  /// P(exactly n in system) = (1 - rho) rho^n.
-  [[nodiscard]] double probability_n(unsigned n) const noexcept;
-  /// P(time in system > t) = exp(-(mu - lambda) t).
-  [[nodiscard]] double sojourn_tail(double t) const noexcept;
 
   /// Closed-form average Age-of-Information of an M/M/1 FCFS queue
   /// (Kaul–Yates–Gruteser 2012):

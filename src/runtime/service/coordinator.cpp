@@ -58,11 +58,20 @@ struct WorkerState {
 };
 
 /// Keep a worker's final snapshot. It arrives twice, on the snapshot
-/// message and on the deregister, so the first copy to land wins.
-void collect_snapshot(WorkerState& w, const core::Json& doc) {
+/// message and on the deregister, so the first copy to land wins. A
+/// missing or unparsable document (a skewed build) is dropped and counted
+/// as a stale message.
+void collect_snapshot(WorkerState& w, const core::Json* doc) {
   if (w.snapshot) return;
-  w.snapshot = obs::ObsDocument::from_json(doc);
-  CoordinatorMetrics::get().snapshots_collected.add();
+  CoordinatorMetrics& metrics = CoordinatorMetrics::get();
+  try {
+    if (doc) w.snapshot = obs::ObsDocument::from_json(*doc);
+  } catch (const std::exception&) {
+  }
+  if (w.snapshot)
+    metrics.snapshots_collected.add();
+  else
+    metrics.stale_messages.add();
 }
 
 /// Per-shard attempt stem: <shard_dir>/shard<k>.a<attempt>. Attempt
@@ -170,10 +179,8 @@ CoordinatorResult run_coordinator(Transport& transport,
           // than strand a live worker forever.
           bool adopt = false;
           if (msg.kind == MessageKind::kHeartbeat) {
-            try {
-              adopt = !HeartbeatBody::from_json(msg.body).busy;
-            } catch (const std::exception&) {
-            }
+            const auto hb = parse_body<HeartbeatBody>(msg);
+            adopt = hb && !hb->busy;
           }
           if (!adopt) {
             metrics.stale_messages.add();
@@ -206,14 +213,17 @@ CoordinatorResult run_coordinator(Transport& transport,
           w->lease.reset();
           metrics.workers_deregistered.add();
           if (const core::Json* doc = msg.body.find("doc"))
-            collect_snapshot(*w, *doc);
+            collect_snapshot(*w, doc);
           break;
         }
         case MessageKind::kHeartbeat: {
-          const auto hb = HeartbeatBody::from_json(msg.body);
-          if (hb.busy) {
-            if (!table.heartbeat(msg.from, hb.lease, hb.attempt,
-                                 hb.records_done, now_ms()))
+          // Bodies that do not parse are dropped as stale, here and below.
+          const auto hb = parse_body<HeartbeatBody>(msg);
+          if (!hb) {
+            metrics.stale_messages.add();
+          } else if (hb->busy) {
+            if (!table.heartbeat(msg.from, hb->lease, hb->attempt,
+                                 hb->records_done, now_ms()))
               metrics.stale_messages.add();
           } else if (!w->live) {
             // Expiry presumed this worker dead, yet here it is, idle (it
@@ -226,8 +236,8 @@ CoordinatorResult run_coordinator(Transport& transport,
           break;
         }
         case MessageKind::kLeaseComplete: {
-          const auto done = LeaseCompleteBody::from_json(msg.body);
-          if (!table.holds(msg.from, done.lease, done.attempt)) {
+          const auto done = parse_body<LeaseCompleteBody>(msg);
+          if (!done || !table.holds(msg.from, done->lease, done->attempt)) {
             metrics.stale_messages.add();
             break;
           }
@@ -248,9 +258,9 @@ CoordinatorResult run_coordinator(Transport& transport,
                 if (fault->action == fail::Action::kIoError)
                   throw std::runtime_error(
                       "fault injected: service.coordinator.fold io_error (" +
-                      done.records_path + ")");
+                      done->records_path + ")");
               shard::PartialReduction folded =
-                  shard::partial_from_records(done.records_path);
+                  shard::partial_from_records(done->records_path);
               if (folded.identity().grid_fingerprint != fingerprint)
                 throw std::runtime_error(
                     "completed shard carries the wrong sweep fingerprint");
@@ -261,31 +271,35 @@ CoordinatorResult run_coordinator(Transport& transport,
             }
           }
           if (partial) {
-            table.complete(msg.from, done.lease, done.attempt);
+            table.complete(msg.from, done->lease, done->attempt);
             metrics.records_merged.add(partial->evaluated());
-            partials[done.lease] = std::move(*partial);
+            partials[done->lease] = std::move(*partial);
             metrics.leases_completed.add();
             metrics.leases_done.set(double(table.done_count()));
           } else {
             metrics.leases_failed.add();
-            table.fail(msg.from, done.lease, done.attempt);
-            last_error[done.lease] = error;
+            table.fail(msg.from, done->lease, done->attempt);
+            last_error[done->lease] = error;
           }
           break;
         }
         case MessageKind::kLeaseFailed: {
-          const auto failed = LeaseFailedBody::from_json(msg.body);
+          const auto failed = parse_body<LeaseFailedBody>(msg);
+          if (!failed) {
+            metrics.stale_messages.add();
+            break;
+          }
           metrics.leases_failed.add();
-          if (table.fail(msg.from, failed.lease, failed.attempt)) {
+          if (table.fail(msg.from, failed->lease, failed->attempt)) {
             w->lease.reset();
-            last_error[failed.lease] = failed.error;
+            last_error[failed->lease] = failed->error;
           } else {
             metrics.stale_messages.add();
           }
           break;
         }
         case MessageKind::kSnapshot: {
-          collect_snapshot(*w, msg.body.at("doc"));
+          collect_snapshot(*w, msg.body.find("doc"));
           break;
         }
         default:
@@ -387,14 +401,14 @@ CoordinatorResult run_coordinator(Transport& transport,
           break;
         case MessageKind::kSnapshot:
           if (it != workers.end())
-            collect_snapshot(it->second, msg.body.at("doc"));
+            collect_snapshot(it->second, msg.body.find("doc"));
           break;
         case MessageKind::kDeregister:
           if (it != workers.end()) {
             it->second.live = false;
             metrics.workers_deregistered.add();
             if (const core::Json* doc = msg.body.find("doc"))
-              collect_snapshot(it->second, *doc);
+              collect_snapshot(it->second, doc);
           }
           break;
         default:

@@ -11,7 +11,7 @@
 //     writes;
 //   * re-execution is resume — an expired lease's next attempt copies the
 //     dead attempt's stem forward and resumes from its longest valid
-//     prefix, and the checkpoint/resume machinery (PR 2/8) makes that
+//     prefix, and the stream's resume law makes that
 //     byte-identical to an uninterrupted run;
 //   * merging is the PR 2 merge law — each completed shard folds through
 //     partial_from_records (the .xrb stream's column fold) the moment

@@ -6,7 +6,7 @@
 // lease to at most one worker at a time. A lease is a deadline-bearing
 // claim: the holder must heartbeat before the deadline or the lease
 // returns to the pending queue with its attempt counter bumped, ready for
-// reassignment — the checkpoint/resume machinery makes the re-execution
+// reassignment — the record stream's resume law makes the re-execution
 // byte-identical, so expiry is always safe, merely wasteful.
 //
 // The table is deliberately clock-free: every method takes `now_ms` from

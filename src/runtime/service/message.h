@@ -10,7 +10,9 @@
 // the repo's documents: an unknown envelope or body field throws
 // std::invalid_argument naming the offender, and a schema bump is a named
 // refusal rather than a silent best-effort read — two builds that disagree
-// on the protocol must fail loudly, not mis-coordinate a sweep.
+// on the protocol must never mis-coordinate a sweep. The service loops
+// parse bodies through parse_body (below) and drop a message that fails:
+// the coordinator counts it in service.coordinator.stale_messages.
 //
 // The protocol (worker -> coordinator unless noted):
 //
@@ -40,6 +42,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <optional>
 #include <string>
 
 #include "core/jsonio.h"
@@ -91,12 +95,11 @@ struct LeaseGrantBody {
   std::size_t attempt = 0;      ///< reassignment generation of this lease.
   std::size_t shard_count = 1;  ///< the partition's fixed shard count.
   shard::ShardStrategy strategy = shard::ShardStrategy::kRange;
-  /// This attempt's output stem (the worker streams to <output>.xrb +
-  /// <output>.partial.json).
+  /// This attempt's output stem (the worker streams to <output>.xrb).
   std::string output;
   /// Previous attempt's stem after a reassignment ("" on attempt 0): the
-  /// worker copies its surviving record stream/checkpoint forward and
-  /// resumes, so a dead worker's flushed prefix is never re-evaluated.
+  /// worker copies its surviving record stream forward and resumes, so a
+  /// dead worker's flushed prefix is never re-evaluated.
   std::string resume_from;
   /// The request's sweep fingerprint — the worker refuses a grant whose
   /// fingerprint disagrees with the request document it fetched.
@@ -165,5 +168,17 @@ struct RevokeBody {
 /// `doc` is a full "xr.obs.snapshot.v1" document (obs/snapshot.h).
 [[nodiscard]] Message make_snapshot(const std::string& from, core::Json doc);
 [[nodiscard]] Message make_shutdown();
+
+/// Parse `msg`'s body as `Body`, or nullopt when it does not parse. The
+/// service loops drop such a message instead of ending the run: a skewed
+/// build or a damaged mailbox file costs one message, never a sweep.
+template <class Body>
+[[nodiscard]] std::optional<Body> parse_body(const Message& msg) {
+  try {
+    return Body::from_json(msg.body);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
 
 }  // namespace xr::runtime::service

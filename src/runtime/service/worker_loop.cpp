@@ -43,42 +43,27 @@ std::uint64_t now_ms() {
                            .count());
 }
 
-/// Carry a dead attempt's surviving output forward so its flushed prefix
-/// is resumed, not re-evaluated. Missing source files are fine (the
+/// Carry a dead attempt's surviving record stream forward so its flushed
+/// prefix is resumed, not re-evaluated. A missing stream is fine (the
 /// attempt died before its first flush); a copy that catches a torn tail
 /// is fine too (the resume scan truncates it).
 void copy_attempt_forward(const std::string& from_stem,
                           const std::string& to_stem) {
-  static const char* kSuffixes[] = {".xrb", ".partial.json"};
-  for (const char* suffix : kSuffixes) {
-    std::error_code ec;
-    const fs::path src = from_stem + suffix;
-    if (!fs::exists(src, ec)) continue;
-    fs::copy_file(src, fs::path(to_stem + suffix),
-                  fs::copy_options::overwrite_existing, ec);
-    if (ec)
-      throw std::runtime_error("serve: cannot copy " + src.string() + " to " +
-                               to_stem + suffix + ": " + ec.message());
-  }
-}
-
-/// Drop an attempt stem's files (record streams + checkpoint): the local
-/// repair move when a stem turns out poisoned — re-evaluation from empty
-/// is byte-identical by the resume law, merely wasteful.
-void remove_attempt_files(const std::string& stem) {
-  static const char* kSuffixes[] = {".xrb", ".partial.json",
-                                    ".partial.json.tmp"};
-  for (const char* suffix : kSuffixes) {
-    std::error_code ec;
-    fs::remove(fs::path(stem + suffix), ec);
-  }
+  std::error_code ec;
+  const std::string src = shard::record_path(from_stem);
+  if (!fs::exists(src, ec)) return;
+  const std::string dst = shard::record_path(to_stem);
+  fs::copy_file(src, dst, fs::copy_options::overwrite_existing, ec);
+  if (ec)
+    throw std::runtime_error("serve: cannot copy " + src + " to " + dst +
+                             ": " + ec.message());
 }
 
 /// The active lease: the grant plus the ready-to-run worker spec.
 struct ActiveLease {
   LeaseGrantBody grant;
   shard::WorkerSpec spec;
-  /// options.slice_records rounded up to the spec's checkpoint chunk —
+  /// options.slice_records rounded up to the spec's chunk —
   /// record streams accept only chunk-aligned resume prefixes (the
   /// byte-identity-on-the-chunk-grid rule of binary_stream.h), so a slice
   /// that stopped mid-chunk would be truncated by the next slice's resume
@@ -203,21 +188,24 @@ WorkerLoopOutcome run_service_worker(Transport& transport,
       saw_message = true;
       switch (msg.kind) {
         case MessageKind::kLeaseGrant: {
-          const auto grant = LeaseGrantBody::from_json(msg.body);
+          // A grant or revoke whose body does not parse is dropped: lease
+          // expiry recovers a grant that nobody acts on.
+          const auto grant = parse_body<LeaseGrantBody>(msg);
+          if (!grant) break;
           try {
-            start_lease(grant);
+            start_lease(*grant);
           } catch (const std::exception& e) {
             active.reset();
             metrics.failed.add();
             safe_send(make_lease_failed(
-                options.name, {grant.lease, grant.attempt, e.what()}));
+                options.name, {grant->lease, grant->attempt, e.what()}));
           }
           break;
         }
         case MessageKind::kRevoke: {
-          const auto revoke = RevokeBody::from_json(msg.body);
-          if (active && active->grant.lease == revoke.lease &&
-              active->grant.attempt == revoke.attempt) {
+          const auto revoke = parse_body<RevokeBody>(msg);
+          if (revoke && active && active->grant.lease == revoke->lease &&
+              active->grant.attempt == revoke->attempt) {
             // The coordinator expired us and has (or will) reassign the
             // shard; our stem is now the resume source of the next
             // attempt. Drop the lease and rejoin the pool.
@@ -271,13 +259,14 @@ WorkerLoopOutcome run_service_worker(Transport& transport,
         active->run.reset();
         if (!active->fresh_retried) {
           // Local repair, once per lease: the slice may have died on a
-          // poisoned stem (torn stream, bad checkpoint), and re-evaluating
+          // poisoned stem (a corrupt or foreign stream), and re-evaluating
           // from empty is byte-identical by the resume law. Wipe the
-          // attempt's files and try again before involving the
+          // attempt's stream and try again before involving the
           // coordinator.
           active->fresh_retried = true;
           active->records_done = 0;
-          remove_attempt_files(active->spec.output);
+          std::error_code ec;
+          fs::remove(shard::record_path(active->spec.output), ec);
           metrics.fresh_restarts.add();
           ++out.fresh_restarts;
           continue;

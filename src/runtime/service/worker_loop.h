@@ -6,7 +6,7 @@
 // stream is done. Each lease holds one shard::ShardRun: the first slice
 // opens it (one scan of the stem, where a copied-forward attempt may
 // sit) and every slice steps it, so a slice costs only its own records.
-// Every slice ends on a flushed checkpoint, which is what makes a serving
+// Every slice ends on a flushed chunk, which is what makes a serving
 // worker both killable (a SIGKILL lands between or inside a slice; either
 // way the stem holds a valid prefix the reassigned attempt resumes
 // byte-identically) and revocable (a revoke or shutdown is seen at the
@@ -41,7 +41,7 @@ struct WorkerLoopOptions {
   /// Mailbox name; must be unique per live worker ([A-Za-z0-9._-]).
   std::string name;
   /// Records evaluated per slice between mailbox polls, rounded up per
-  /// lease to the request's checkpoint chunk (binary streams resume only
+  /// lease to the request's chunk (record streams resume only
   /// on chunk boundaries). Keep slice wall time well under the
   /// coordinator's lease timeout.
   std::size_t slice_records = 32;

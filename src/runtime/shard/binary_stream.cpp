@@ -571,9 +571,9 @@ BinaryRecovery scan_binary_prefix(
   const std::optional<BinaryHeaderInfo> header = try_read_header(in, path);
   if (!header) return rec;  // torn header: rewrite from scratch
   // A wrong identity or fingerprint is a refusal, not a rewrite — the
-  // stream belongs to a different sweep and silently clobbering it would
-  // hide an operator error (same rule check_resume_identity applies to
-  // the checkpoint).
+  // stream belongs to a different shard or sweep, and silently clobbering
+  // it would hide an operator error. This header check is resume's whole
+  // identity guard, and it runs before anything is truncated.
   if (header->id.shard_id != id.shard_id ||
       header->id.shard_count != id.shard_count ||
       header->id.strategy != id.strategy ||

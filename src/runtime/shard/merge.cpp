@@ -224,31 +224,13 @@ PartialReduction partial_from_records(const std::string& path) {
   if (!is_record_path(path))
     throw std::invalid_argument("partial_from_records: '" + path +
                                 "' is not a .xrb record stream");
-  PartialReduction partial = fold_binary_partial(path);
-  // Throughput stats live only in the checkpoint (they are not part of the
-  // record stream's bitwise identity); a missing or unreadable one leaves
-  // them unset.
-  try {
-    const PartialReduction prior = PartialReduction::from_json(Json::parse(
-        read_text_file(path.substr(0, path.size() - kRecordExtension.size()) +
-                       ".partial.json")));
-    partial.wall_ms = prior.wall_ms;
-    partial.threads = prior.threads;
-  } catch (const std::exception&) {
-  }
-  return partial;
+  return fold_binary_partial(path);
 }
 
 MergedSummary merge_partial_files(const std::vector<std::string>& paths) {
   std::vector<PartialReduction> partials;
   partials.reserve(paths.size());
-  for (const auto& path : paths) {
-    if (is_record_path(path))
-      partials.push_back(partial_from_records(path));
-    else
-      partials.push_back(
-          PartialReduction::from_json(Json::parse(read_text_file(path))));
-  }
+  for (const auto& path : paths) partials.push_back(partial_from_records(path));
   return merge_partials(partials);
 }
 

@@ -22,7 +22,8 @@
 
 namespace xr::runtime::shard {
 
-/// Aggregate worker throughput (not part of the bitwise identity).
+/// Aggregate throughput of the partials' own processes (not part of the
+/// bitwise identity; folds of record streams carry zeros).
 struct MergeStats {
   std::size_t shards = 0;
   double wall_ms_sum = 0;  ///< total CPU-side work.
@@ -76,15 +77,12 @@ struct MergedSummary {
 /// stream: the identity comes from the stream's own header, and the fold
 /// runs column-wise without rehydrating rows (fold_binary_partial). The
 /// stream must be complete and valid: tears and corruption are named
-/// errors, never truncation. Worker throughput stats are carried from the
-/// sibling <stem>.partial.json checkpoint when present.
+/// errors, never truncation. Throws std::invalid_argument naming any path
+/// that is not a .xrb record stream.
 [[nodiscard]] PartialReduction partial_from_records(
     const std::string& record_path);
 
-/// Load K shard documents and merge them. Each path is either a
-/// .partial.json checkpoint or a .xrb record stream (folded through
-/// partial_from_records), in any mix, because a PartialReduction is a
-/// pure function of the decoded totals.
+/// Fold K shard record streams (partial_from_records) and merge them.
 [[nodiscard]] MergedSummary merge_partial_files(
     const std::vector<std::string>& paths);
 

@@ -89,13 +89,13 @@ struct ParsedRecord {
                                       const GtMeasurement* gt = nullptr,
                                       bool metrics_only = false);
 
-/// The knobs of one record stream and its checkpoint.
+/// The knobs of one record stream.
 struct SinkOptions {
-  /// Files written: <output_stem>.xrb and <output_stem>.partial.json.
+  /// File written: <output_stem>.xrb.
   std::string output_stem;
   /// Records per chunk: each flush frames one chunk, and resume accepts
-  /// only prefixes on this chunk grid. Also bounds worker memory and the
-  /// checkpoint loss window. 0 is treated as 1.
+  /// only prefixes on this chunk grid. Also bounds worker memory and what
+  /// a kill can lose. 0 is treated as 1.
   std::size_t chunk_records = 64;
   /// Ground-truth mode: records must carry GtMeasurements, the reduction
   /// runs over the measured means, and the partial carries a GtAggregate

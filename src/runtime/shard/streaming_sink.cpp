@@ -184,92 +184,6 @@ std::vector<ParetoPoint> PartialReduction::pareto() const {
   return out;
 }
 
-namespace {
-
-Json identity_to_json(const ShardIdentity& id) {
-  Json j = Json::object();
-  j.set("id", id.shard_id);
-  j.set("count", id.shard_count);
-  j.set("strategy", strategy_name(id.strategy));
-  j.set("grid_size", id.grid_size);
-  j.set("grid_fingerprint", format_hex64(id.grid_fingerprint));
-  return j;
-}
-
-ShardIdentity identity_from_json(const Json& j) {
-  ShardIdentity id;
-  id.shard_id = j.at("id").as_size();
-  id.shard_count = j.at("count").as_size();
-  id.strategy = strategy_from_name(j.at("strategy").as_string());
-  id.grid_size = j.at("grid_size").as_size();
-  id.grid_fingerprint = parse_hex64(j.at("grid_fingerprint").as_string());
-  return id;
-}
-
-constexpr const char* kPartialSchema = "xr.sweep.partial.v1";
-
-}  // namespace
-
-Json PartialReduction::to_json() const {
-  Json j = Json::object();
-  j.set("schema", kPartialSchema);
-  j.set("shard", identity_to_json(id_));
-  j.set("evaluated", evaluated_);
-  if (evaluated_ > 0) {
-    j.set("last_index", last_index_);
-    j.set("best_latency_index", best_latency_index_);
-    j.set("min_latency_ms", min_latency_ms_);
-    j.set("max_latency_ms", max_latency_ms_);
-    j.set("best_energy_index", best_energy_index_);
-    j.set("min_energy_mj", min_energy_mj_);
-    j.set("max_energy_mj", max_energy_mj_);
-    Json pareto = Json::array();
-    for (const auto& [lat, rest] : frontier_) {
-      Json p = Json::array();
-      p.push_back(rest.second);
-      p.push_back(lat);
-      p.push_back(rest.first);
-      pareto.push_back(std::move(p));
-    }
-    j.set("pareto", std::move(pareto));
-  }
-  if (gt_) j.set("gt", gt_->to_json());
-  Json stats = Json::object();
-  stats.set("wall_ms", wall_ms);
-  stats.set("threads", threads);
-  j.set("stats", std::move(stats));
-  return j;
-}
-
-PartialReduction PartialReduction::from_json(const Json& j) {
-  if (j.at("schema").as_string() != kPartialSchema)
-    throw std::invalid_argument("PartialReduction: unknown schema '" +
-                                j.at("schema").as_string() + "'");
-  PartialReduction out(identity_from_json(j.at("shard")));
-  out.evaluated_ = j.at("evaluated").as_size();
-  if (out.evaluated_ > 0) {
-    out.last_index_ = j.at("last_index").as_size();
-    out.best_latency_index_ = j.at("best_latency_index").as_size();
-    out.min_latency_ms_ = j.at("min_latency_ms").as_double();
-    out.max_latency_ms_ = j.at("max_latency_ms").as_double();
-    out.best_energy_index_ = j.at("best_energy_index").as_size();
-    out.min_energy_mj_ = j.at("min_energy_mj").as_double();
-    out.max_energy_mj_ = j.at("max_energy_mj").as_double();
-    for (const Json& p : j.at("pareto").as_array()) {
-      const auto& triple = p.as_array();
-      if (triple.size() != 3)
-        throw std::invalid_argument("PartialReduction: bad pareto entry");
-      out.frontier_[triple[1].as_double()] = {triple[2].as_double(),
-                                              triple[0].as_size()};
-    }
-  }
-  if (const Json* g = j.find("gt")) out.gt_ = GtAggregate::from_json(*g);
-  const Json& stats = j.at("stats");
-  out.wall_ms = stats.at("wall_ms").as_double();
-  out.threads = stats.at("threads").as_size();
-  return out;
-}
-
 // ---- the sink ----------------------------------------------------------
 
 StreamingSink::Recovery StreamingSink::scan_existing(
@@ -362,54 +276,12 @@ void StreamingSink::flush() {
   }
   if (fault && fault->action == fail::Action::kCorrupt)
     corrupt_file_tail(records_path(), 10);
-  write_partial_checkpoint();
   binary_records.add(flushed);
   binary_bytes.add(bytes);
   flush_ms.observe(
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count());
-}
-
-void StreamingSink::write_partial_checkpoint() {
-  static obs::Counter checkpoint_writes("shard.worker.checkpoint_writes");
-  checkpoint_writes.add();
-  // Write-then-rename so a kill mid-checkpoint never leaves a torn
-  // partial.json (the record stream is the source of truth regardless).
-  const std::string path = partial_path();
-  if (const auto fault = fail::point("shard.sink.checkpoint")) {
-    if (fault->action == fail::Action::kIoError)
-      throw std::runtime_error(
-          "fault injected: shard.sink.checkpoint io_error (" + path + ")");
-    if (fault->action == fail::Action::kTruncate) {
-      // A torn checkpoint ON THE FINAL PATH — what a crashed non-atomic
-      // writer leaves. Returns without error: the record stream must stay
-      // the source of truth, and whoever reads this checkpoint must fail
-      // over to the stream or to reassignment.
-      std::ofstream torn(path, std::ios::binary | std::ios::trunc);
-      const std::string doc = partial_.to_json().dump();
-      torn << doc.substr(0, doc.size() / 2);
-      return;
-    }
-  }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("StreamingSink: cannot open " + tmp);
-    out << partial_.to_json().dump() << '\n';
-    // A failed write (disk full) must not be renamed over the last good
-    // checkpoint.
-    out.flush();
-    if (!out)
-      throw std::runtime_error("StreamingSink: failed writing checkpoint " +
-                               tmp + "; " + path + " keeps the previous one");
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw std::runtime_error("StreamingSink: cannot rename " + tmp + ": " +
-                             ec.message());
 }
 
 PartialReduction StreamingSink::finalize() {

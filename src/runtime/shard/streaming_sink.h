@@ -19,12 +19,12 @@
 //     BatchEvaluator's stable_sort induces — reproduces the monolithic
 //     frontier exactly;
 //   * every double crossing a process boundary survives the trip
-//     bit-for-bit: raw IEEE-754 little-endian columns in the record stream,
-//     shortest round-trip text form in the checkpoint (jsonio.h).
+//     bit-for-bit: raw IEEE-754 little-endian columns in the record stream.
 //
 // A PartialReduction is therefore a pure function of the decoded totals,
 // which is why slim and full record shapes merge to bitwise-identical
-// summaries.
+// summaries, and why the stream is a shard's only file: resume and merge
+// rebuild the reduction from it.
 //
 // Record shapes — full, metrics-only (SinkOptions::metrics_only, the
 // sweep_worker --metrics flag, for million-point grids where breakdowns
@@ -34,14 +34,13 @@
 // GT means) plus a GtAggregate of exactly-mergeable sums (ExactSum), so GT
 // summaries obey the same bitwise merge law as analytical ones.
 //
-// The sink flushes every chunk_records records and rewrites the partial
-// checkpoint, so a killed worker loses at most one chunk; scan_existing()
-// recovers the longest valid record prefix for resume under the stream's
-// tear taxonomy (binary_stream.h): a torn *tail* (the only damage a kill
-// can inflict) truncates silently, while corruption — bad magic, checksum,
-// or a record count its payload disagrees with — is a named
-// std::runtime_error, because silently dropping the valid suffix behind it
-// would mask real data loss.
+// The sink flushes every chunk_records records, so a killed worker loses
+// at most one chunk; scan_existing() recovers the longest valid record
+// prefix for resume under the stream's tear taxonomy (binary_stream.h): a
+// torn *tail* (the only damage a kill can inflict) truncates silently,
+// while corruption — bad magic, checksum, or a record count its payload
+// disagrees with — is a named std::runtime_error, because silently
+// dropping the valid suffix behind it would mask real data loss.
 #pragma once
 
 #include <cstddef>
@@ -118,14 +117,13 @@ struct GtAggregate {
 };
 
 /// Streaming reduction over (index, latency, energy) triples fed in
-/// ascending index order. Mergeable across shards; serializable.
+/// ascending index order. Mergeable across shards.
 ///
-/// In ground-truth mode (constructed with ground_truth = true, or restored
-/// from a document with a "gt" block) the latency/energy fed to add() are
-/// the *measured* per-point means, every record must carry a
-/// GtMeasurement, and the reduction additionally folds the GtAggregate.
-/// The block is present even while empty, so a zero-record GT shard is
-/// still distinguishable from an analytical one.
+/// In ground-truth mode (constructed with ground_truth = true) the
+/// latency/energy fed to add() are the *measured* per-point means, every
+/// record must carry a GtMeasurement, and the reduction additionally folds
+/// the GtAggregate. The aggregate is present even while empty, so a
+/// zero-record GT shard is still distinguishable from an analytical one.
 class PartialReduction {
  public:
   explicit PartialReduction(ShardIdentity id = {}, bool ground_truth = false);
@@ -165,13 +163,13 @@ class PartialReduction {
   /// This shard's Pareto frontier, latency-ascending.
   [[nodiscard]] std::vector<ParetoPoint> pareto() const;
 
-  // Worker throughput stats carried into the summary (not part of the
-  // bitwise identity — wall time is non-deterministic by nature).
+  // Throughput stats of the process that built this reduction, carried
+  // into the summary (not part of the bitwise identity — wall time is
+  // non-deterministic by nature). A resumed run counts from zero, and a
+  // fold of a stream carries zeros: per-worker timings live in the
+  // --metrics-out snapshots, never in results.
   double wall_ms = 0;
   std::size_t threads = 1;
-
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static PartialReduction from_json(const Json& j);
 
  private:
   ShardIdentity id_;
@@ -224,8 +222,7 @@ class StreamingSink {
   /// and the GtAggregate. Point kind must match the sink's mode.
   void append(std::size_t global_index, const EvaluatedPoint& point);
 
-  /// Write buffered records to disk (one chunk) and checkpoint the
-  /// partial reduction.
+  /// Write buffered records to disk as one chunk.
   void flush();
 
   /// Attach worker throughput stats to the reduction (carried into the
@@ -235,7 +232,7 @@ class StreamingSink {
     partial_.threads = threads;
   }
 
-  /// Flush and write the final <stem>.partial.json. Returns the reduction.
+  /// Flush. Returns the reduction.
   PartialReduction finalize();
 
   [[nodiscard]] std::size_t records_written() const noexcept {
@@ -248,13 +245,8 @@ class StreamingSink {
   [[nodiscard]] const std::string& records_path() const noexcept {
     return sink_.path();
   }
-  [[nodiscard]] std::string partial_path() const {
-    return options_.output_stem + ".partial.json";
-  }
 
  private:
-  void write_partial_checkpoint();
-
   SinkOptions options_;
   PartialReduction partial_;
   RecordSink sink_;

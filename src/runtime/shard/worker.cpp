@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -47,37 +46,6 @@ struct WorkerMetrics {
   }
 };
 
-/// Resume guard: records on disk imply a flushed checkpoint, and the
-/// checkpoint carries the full shard identity (partition + sweep
-/// fingerprint, which covers the grid *and* the evaluator). An index
-/// sequence alone cannot tell two same-shape sweeps apart, so a missing or
-/// mismatched checkpoint means the stream belongs to some other sweep —
-/// refuse rather than silently mix them. Returns the prior checkpoint so
-/// the caller can carry its throughput stats forward.
-PartialReduction check_resume_identity(const std::string& partial_path,
-                                       const ShardIdentity& id) {
-  std::string text;
-  try {
-    text = read_text_file(partial_path);
-  } catch (const std::exception&) {
-    throw std::runtime_error(
-        "run_worker: cannot resume — record stream exists but checkpoint " +
-        partial_path + " is missing; delete the outputs to restart");
-  }
-  PartialReduction prior = PartialReduction::from_json(Json::parse(text));
-  const ShardIdentity& existing = prior.identity();
-  if (existing.shard_id != id.shard_id ||
-      existing.shard_count != id.shard_count ||
-      existing.strategy != id.strategy ||
-      existing.grid_size != id.grid_size ||
-      existing.grid_fingerprint != id.grid_fingerprint)
-    throw std::runtime_error(
-        "run_worker: cannot resume — " + partial_path +
-        " was written for a different grid, evaluator, or partition; "
-        "delete the outputs (or restore the original spec) to proceed");
-  return prior;
-}
-
 /// Sequential reader over this shard's pass-1 (coarse) record stream for
 /// the hybrid pass-2 leg. The coarse stream enumerates exactly the same
 /// global indices in the same order as the pass-2 stream (same shard of
@@ -104,36 +72,33 @@ class CoarseStream {
   RecordSource source_;
 };
 
-/// Pass-2 guard: the coarse stream this leg copies from must be this
-/// exact shard of this exact coarse sweep, and complete. The checkpoint
-/// carries everything needed to verify that.
-void check_coarse_complete(const std::string& partial_path,
+/// Pass-2 guard: the coarse stream this leg copies from must exist, be
+/// this exact shard of this exact coarse sweep, and be complete. Its
+/// header names the shard and sweep; folding it counts its records (a
+/// torn or corrupt stream throws its own named error).
+void check_coarse_complete(const std::string& coarse_path,
                            const ShardIdentity& coarse_id,
                            std::size_t shard_n) {
-  std::string text;
-  try {
-    text = read_text_file(partial_path);
-  } catch (const std::exception&) {
+  std::error_code ec;
+  if (!std::filesystem::exists(coarse_path, ec))
     throw std::runtime_error(
-        "run_worker: refinement pass needs the coarse checkpoint " +
-        partial_path + " — run the coarse pass (adaptive_pass 1) first");
-  }
-  const PartialReduction prior =
-      PartialReduction::from_json(Json::parse(text));
-  const ShardIdentity& existing = prior.identity();
+        "run_worker: refinement pass needs the coarse record stream " +
+        coarse_path + " — run the coarse pass (adaptive_pass 1) first");
+  const ShardIdentity existing = read_binary_header(coarse_path).id;
   if (existing.shard_id != coarse_id.shard_id ||
       existing.shard_count != coarse_id.shard_count ||
       existing.strategy != coarse_id.strategy ||
       existing.grid_size != coarse_id.grid_size ||
       existing.grid_fingerprint != coarse_id.grid_fingerprint)
     throw std::runtime_error(
-        "run_worker: " + partial_path +
+        "run_worker: " + coarse_path +
         " does not belong to this shard's coarse pass (different grid, "
         "evaluator, adaptive block, or partition)");
-  if (prior.evaluated() != shard_n)
+  const std::size_t records = fold_binary_partial(coarse_path).evaluated();
+  if (records != shard_n)
     throw std::runtime_error(
-        "run_worker: coarse shard behind " + partial_path +
-        " is incomplete (" + std::to_string(prior.evaluated()) + " of " +
+        "run_worker: coarse record stream " + coarse_path +
+        " is incomplete (" + std::to_string(records) + " of " +
         std::to_string(shard_n) +
         " records) — finish the coarse pass before refining");
 }
@@ -286,7 +251,7 @@ struct ShardRun::State {
   const bool hybrid;
   const ScenarioGrid grid;
   const ShardPlan plan;
-  /// Single normalization point for the chunk size: the sink's checkpoint
+  /// Single normalization point for the chunk size: the sink's flush
   /// cadence and the step loop share this exact value.
   const std::size_t chunk;
   const std::size_t shard_n;
@@ -307,6 +272,10 @@ struct ShardRun::State {
   /// The last step stopped mid-chunk: the next one reopens the stem so
   /// the resume scan puts the stream back on the chunk grid.
   bool off_grid = false;
+  /// This run's throughput stats, accumulated over its steps (a reopen
+  /// rebuilds the sink's reduction, so they live here).
+  double wall_ms = 0;
+  std::size_t threads = 1;
   /// Set while a step runs; still set after a step threw.
   bool broken = false;
 };
@@ -359,7 +328,7 @@ ShardRun::State::State(const WorkerSpec& s)
           spec.shard_id, spec.shard_count, spec.strategy, grid.size(),
           grid_fingerprint(spec.grid, runtime::coarse_evaluator(
                                           spec.evaluator, *spec.adaptive))};
-      check_coarse_complete(spec.coarse_input + ".partial.json", coarse_id,
+      check_coarse_complete(record_path(spec.coarse_input), coarse_id,
                             shard_n);
     }
   }
@@ -392,23 +361,10 @@ void ShardRun::State::open(bool resume) {
   StreamingSink::Recovery recovery;
   const StreamingSink::Recovery* from = nullptr;
   if (resume) {
+    // The scan checks the stream's header against this shard's identity
+    // and sweep fingerprint before it truncates anything: a stream of
+    // another shard, grid, or evaluator is refused, never clobbered.
     recovery = StreamingSink::scan_existing(options, id, plan);
-    // The identity check must run whenever a checkpoint exists — not only
-    // when the scan recovered records. A spec mismatch (e.g. resuming a
-    // ground-truth stream under the analytical default) makes every
-    // existing record look invalid, so gating on recovery.records would
-    // skip the refusal and silently truncate the whole prior stream.
-    const std::string partial_path = spec.output + ".partial.json";
-    std::error_code ec;
-    if (recovery.records > 0 ||
-        std::filesystem::exists(partial_path, ec)) {
-      const PartialReduction prior = check_resume_identity(partial_path, id);
-      // Carry the prior legs' throughput stats into the rebuilt reduction;
-      // step() then accumulates instead of clobbering, so a resume that
-      // evaluates nothing new cannot zero the recorded wall time.
-      recovery.partial.wall_ms = prior.wall_ms;
-      recovery.partial.threads = prior.threads;
-    }
     from = &recovery;
   }
   sink.emplace(options, id, from);
@@ -440,7 +396,6 @@ WorkerOutcome ShardRun::step(std::size_t max_new_records) {
   WorkerOutcome out;
   out.resumed_records = std::exchange(s.recovered, 0);
   out.records_path = sink.records_path();
-  out.partial_path = sink.partial_path();
 
   const obs::Span worker_span("worker.run");
   WorkerMetrics& metrics = WorkerMetrics::get();
@@ -500,14 +455,11 @@ WorkerOutcome ShardRun::step(std::size_t max_new_records) {
     if (max_new_records && out.evaluated_records >= max_new_records) break;
   }
   const auto t1 = std::chrono::steady_clock::now();
-  // Accumulate across steps and resume legs; a step that evaluated
-  // nothing keeps the prior thread count (there is no meaningful "this
-  // run" value for it).
-  const std::size_t leg_threads = s.pool ? s.pool->size() : 1;
-  sink.set_stats(
-      sink.partial().wall_ms +
-          std::chrono::duration<double, std::milli>(t1 - t0).count(),
-      out.evaluated_records > 0 ? leg_threads : sink.partial().threads);
+  // Accumulate across this run's steps; a step that evaluated nothing
+  // keeps the prior thread count (there is no meaningful value for it).
+  s.wall_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
+  if (out.evaluated_records > 0) s.threads = s.pool ? s.pool->size() : 1;
+  sink.set_stats(s.wall_ms, s.threads);
 
   out.shard_records = done;
   out.complete = done == s.shard_n;

@@ -27,14 +27,15 @@
 // ground_truth evaluator streams per-point simulator measurements (seeded
 // from the *global* grid index — see evaluator.h) through the same sink.
 //
-// The worker writes <output>.xrb (binary_stream.h), one record per
-// scenario in ascending global index, plus <output>.partial.json (the
-// mergeable reduction, checkpointed at every chunk flush). Resume scans
-// the existing record stream, truncates any torn tail, rebuilds the
-// reduction from the valid prefix on the chunk grid, and continues from
-// the first missing record — so a re-run after a kill produces
-// byte-identical outputs to an uninterrupted run. A "format" field in a
-// spec document is still accepted when it names "binary".
+// The worker writes one file, <output>.xrb (binary_stream.h): one record
+// per scenario in ascending global index, flushed a chunk at a time.
+// Resume checks the stream's header against this shard's identity and
+// sweep fingerprint (a foreign stream is refused before anything is
+// truncated), truncates any torn tail, rebuilds the reduction from the
+// valid prefix on the chunk grid, and continues from the first missing
+// record — so a re-run after a kill produces byte-identical outputs to an
+// uninterrupted run. A "format" field in a spec document is still
+// accepted when it names "binary".
 #pragma once
 
 #include <cstddef>
@@ -62,7 +63,7 @@ struct WorkerSpec {
   std::size_t shard_id = 0;
   std::size_t shard_count = 1;
   ShardStrategy strategy = ShardStrategy::kRange;
-  /// Output stem: writes <output>.xrb and <output>.partial.json.
+  /// Output stem: writes <output>.xrb.
   std::string output;
   std::size_t chunk_records = 64;
   /// BatchOptions convention: 0 = shared pool, 1 = strict serial,
@@ -109,7 +110,7 @@ struct WorkerSpec {
   /// rejected with a clear error (rather than surfacing later as a
   /// confusing ShardPlan/shard_id failure) and chunk_records == 0 is
   /// normalized to 1 — the same clamp every consumer applies — so the
-  /// sink's checkpoint cadence and the worker's chunk loop can never
+  /// sink's flush cadence and the worker's chunk loop can never
   /// disagree.
   [[nodiscard]] static WorkerSpec from_json(const Json& j);
 };
@@ -121,14 +122,13 @@ struct WorkerOutcome {
   bool complete = false;             ///< reached the end of the shard.
   PartialReduction partial;
   std::string records_path;          ///< the <output>.xrb record stream.
-  std::string partial_path;
 };
 
 /// One shard held open across steps. The constructor does everything a
 /// run needs once: validate the spec, build the grid and plan, scan and
 /// identity-check an existing stream when spec.resume is set (a refused
 /// scan throws here), and open the sink, the worker pool, and a fine
-/// leg's coarse stream. Every step() ends on a flushed checkpoint, so
+/// leg's coarse stream. Every step() ends on a flushed chunk, so
 /// destroying the run between steps leaves what a kill between two
 /// run_worker calls leaves, and a later resume continues it
 /// byte-identically. Throws on invalid specs and I/O failure; a step that
@@ -142,10 +142,11 @@ class ShardRun {
   ShardRun& operator=(const ShardRun&) = delete;
 
   /// Evaluate up to max_new_records new records (0 = the rest of the
-  /// shard) and checkpoint. The outcome's evaluated_records counts this
-  /// step; resumed_records counts the records recovered from disk before
-  /// it (the opening scan, so 0 on later steps). Steps of whole
-  /// checkpoint chunks keep the stream on the chunk grid; a step that
+  /// shard) and flush. The outcome's evaluated_records counts this step;
+  /// resumed_records counts the records recovered from disk before it
+  /// (the opening scan, so 0 on later steps). The outcome's partial
+  /// carries the wall time and thread count of this run's steps so far.
+  /// Steps of whole chunks keep the stream on the chunk grid; a step that
   /// stops mid-chunk flushes an undersized chunk, and the next step
   /// reopens the stem through the resume scan, as a new run_worker call
   /// would, so outputs stay byte-identical.
@@ -158,7 +159,7 @@ class ShardRun {
 
 /// Run one shard to completion, or until max_new_records new records when
 /// non-zero — the kill-simulation hook: the run stops early with a
-/// *consistent* flushed prefix + checkpoint, i.e. the state after a kill
+/// *consistent* flushed prefix, i.e. the state after a kill
 /// that landed between chunk flushes. The harsher aftermaths (a torn
 /// trailing chunk, a lost unflushed chunk) are covered by the tests that
 /// truncate the files by hand; scan_existing handles all of them.

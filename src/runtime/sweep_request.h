@@ -28,7 +28,7 @@
 //                    OffloadDecisions (core/optimizer.h), producing an
 //                    OffloadPlan that merges exactly across shards.
 //
-// The execution block is per-process mechanics (thread count, checkpoint
+// The execution block is per-process mechanics (thread count, flush
 // cadence, slim records); it never affects result values
 // — only the grid, evaluator, and reduction do, which is why only those
 // are fingerprinted.
@@ -71,7 +71,7 @@ struct ExecutionSpec {
   /// BatchOptions convention: 0 = shared pool, 1 = strict serial,
   /// N = dedicated pool of N workers.
   std::size_t threads = 0;
-  /// Records per flush/checkpoint for sharded streaming runs.
+  /// Records per flush (one chunk) for sharded streaming runs.
   std::size_t chunk_records = 64;
   /// Indices per claimed parallel task chunk: 0 = auto,
   /// max(1, n / (8 · threads)) — see BatchOptions::grain.

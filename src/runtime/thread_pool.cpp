@@ -46,6 +46,13 @@ ThreadPool::ThreadPool(std::size_t threads) : state_(std::make_unique<State>()) 
     if (threads == 0) threads = 1;
   }
   threads_ = threads;
+  // Construct the statics the workers touch before this pool finishes
+  // constructing, so they are destroyed after it: at exit the shared
+  // pool's destructor joins workers that may still be finishing a
+  // parallel_for helper job, which then records its time.
+  (void)pool_tasks();
+  (void)pool_queue_depth();
+  (void)pool_task_ms();
   // A 1-thread pool runs everything inline: no workers, no queue traffic.
   if (threads_ == 1) return;
   workers_.reserve(threads_);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 namespace xr::trace {
 
@@ -37,67 +35,5 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins, 0) {
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must exceed lo");
-  if (bins == 0) throw std::invalid_argument("Histogram: need >= 1 bin");
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::size_t>(frac * double(bins_.size()));
-  if (idx >= bins_.size()) idx = bins_.size() - 1;  // guard fp edge
-  ++bins_[idx];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  if (i >= bins_.size()) throw std::out_of_range("Histogram::bin_lo");
-  return lo_ + (hi_ - lo_) * double(i) / double(bins_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  if (i >= bins_.size()) throw std::out_of_range("Histogram::bin_hi");
-  return lo_ + (hi_ - lo_) * double(i + 1) / double(bins_.size());
-}
-
-double Histogram::quantile(double q) const {
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q in [0,1]");
-  const std::size_t in_range = total_ - underflow_ - overflow_;
-  if (in_range == 0) return lo_;
-  const double target = q * double(in_range);
-  double cum = 0;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    cum += double(bins_[i]);
-    if (cum >= target) return 0.5 * (bin_lo(i) + bin_hi(i));
-  }
-  return bin_hi(bins_.size() - 1);
-}
-
-std::string Histogram::render(std::size_t bar_width) const {
-  std::size_t peak = 1;
-  for (auto c : bins_) peak = std::max(peak, c);
-  std::ostringstream oss;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    if (bins_[i] == 0) continue;
-    const auto len =
-        static_cast<std::size_t>(double(bins_[i]) / double(peak) *
-                                 double(bar_width));
-    oss << "[" << bin_lo(i) << ", " << bin_hi(i) << ") " << bins_[i] << " "
-        << std::string(std::max<std::size_t>(len, 1), '#') << '\n';
-  }
-  if (underflow_) oss << "underflow: " << underflow_ << '\n';
-  if (overflow_) oss << "overflow: " << overflow_ << '\n';
-  return oss.str();
-}
 
 }  // namespace xr::trace

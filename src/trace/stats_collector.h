@@ -1,13 +1,11 @@
-// Streaming statistics (Welford) and fixed-width histograms.
+// Streaming statistics (Welford).
 //
-// Used throughout the ground-truth simulator to accumulate per-frame latency
-// and energy observations without storing every sample.
+// The ground-truth simulator accumulates per-frame latency and energy
+// observations in RunningStats without storing every sample.
 #pragma once
 
 #include <cstddef>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace xr::trace {
 
@@ -33,36 +31,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples land in the
-/// underflow/overflow counters.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const {
-    return bins_.at(i);
-  }
-  [[nodiscard]] std::size_t bins() const noexcept { return bins_.size(); }
-  [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-  /// Approximate quantile from bin midpoints, q in [0,1].
-  [[nodiscard]] double quantile(double q) const;
-  /// Compact text rendering (one line per nonempty bin with a bar).
-  [[nodiscard]] std::string render(std::size_t bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> bins_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 }  // namespace xr::trace

@@ -1,6 +1,5 @@
 #include "queueing/mm1.h"
 
-#include <cmath>
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -62,20 +61,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(0.9, 1.0), std::make_tuple(2.0, 9.0),
                       std::make_tuple(0.03, 0.35),
                       std::make_tuple(0.2, 0.35)));
-
-TEST(MM1, StateProbabilitiesSumToOne) {
-  const MM1 q(1, 2);
-  double sum = 0;
-  for (unsigned n = 0; n < 200; ++n) sum += q.probability_n(n);
-  EXPECT_NEAR(sum, 1.0, 1e-10);
-}
-
-TEST(MM1, SojournTailExponential) {
-  const MM1 q(1, 3);
-  EXPECT_NEAR(q.sojourn_tail(0), 1.0, 1e-12);
-  EXPECT_NEAR(q.sojourn_tail(0.5), std::exp(-1.0), 1e-12);
-  EXPECT_GT(q.sojourn_tail(0.1), q.sojourn_tail(0.2));
-}
 
 TEST(MM1, AverageAoiKnownValue) {
   // Kaul-Yates-Gruteser: at rho = 0.5, mu = 1: AoI = 1 + 2 + 0.5 = 3.5.

@@ -402,7 +402,19 @@ TEST_F(AdaptiveSweepTest, FineLegGuardsItsInputs) {
   fine_spec.refine = {0};
   EXPECT_THROW((void)shard::run_worker(fine_spec), std::invalid_argument);
 
-  // A coarse checkpoint from a different fidelity is refused.
+  // The coarse stream it names must exist, belong to this shard's coarse
+  // pass (not one at another fidelity), and be complete; each is refused
+  // by name.
+  const auto refusal = [&] {
+    try {
+      (void)shard::run_worker(fine_spec);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  fine_spec.coarse_input = stem("never_run");
+  EXPECT_NE(refusal().find("run the coarse pass"), std::string::npos);
   SweepRequest other = request;
   other.adaptive->coarse_frames += 1;
   auto other_coarse = shard::WorkerSpec::from_request(
@@ -410,7 +422,14 @@ TEST_F(AdaptiveSweepTest, FineLegGuardsItsInputs) {
   other_coarse.adaptive_pass = 1;
   ASSERT_TRUE(shard::run_worker(other_coarse).complete);
   fine_spec.coarse_input = stem("other");
-  EXPECT_THROW((void)shard::run_worker(fine_spec), std::runtime_error);
+  EXPECT_NE(refusal().find("does not belong"), std::string::npos);
+  auto partial_coarse = shard::WorkerSpec::from_request(
+      request, 0, 1, shard::ShardStrategy::kRange, stem("partial"));
+  partial_coarse.adaptive_pass = 1;
+  partial_coarse.chunk_records = 1;
+  ASSERT_FALSE(shard::run_worker(partial_coarse, 1).complete);
+  fine_spec.coarse_input = stem("partial");
+  EXPECT_NE(refusal().find("is incomplete"), std::string::npos);
 
   // Unsorted refinement sets and a missing leg selection fail loud.
   fine_spec.coarse_input.clear();

@@ -1,16 +1,18 @@
 // The ground-truth sharding contract: per-point simulator seeds derive
 // from the *global* grid index, so records — and the exactly-merged GT
 // aggregates — are bitwise independent of shard count, strategy, thread
-// count, and resume position. Plus the worker/resume regression tests for
-// this PR's bugfixes: resume must accumulate (not clobber) worker stats,
-// and WorkerSpec::from_json must validate shard_count / normalize
-// chunk_records in one place.
+// count, and resume position. Plus the worker/resume regression tests:
+// a run's steps accumulate (not clobber) its worker stats, a resume under
+// the wrong spec refuses before it truncates anything, and
+// WorkerSpec::from_json validates shard_count / normalizes chunk_records
+// in one place.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,6 +64,13 @@ WorkerSpec gt_spec(const testbed::SweepConfig& cfg, const std::string& out) {
   spec.output = out;
   spec.chunk_records = 2;
   return spec;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 /// All records of one worker output, keyed by global index, as the lines
@@ -320,25 +329,40 @@ TEST_F(GtShardedSweepTest, GtResumeAfterKillIsByteIdentical) {
 }
 
 TEST_F(GtShardedSweepTest, ResumeUnderWrongEvaluatorRefusesAndPreservesData) {
-  // Regression: the identity check was gated on the scan recovering > 0
-  // records. Resuming a ground-truth stream under a mismatched spec (every
-  // record then looks invalid to the scan) skipped the fingerprint refusal
-  // and silently truncated the entire prior stream to zero bytes.
+  // Regression: a resume under a mismatched spec makes every record look
+  // invalid to the scan, which once truncated the entire prior stream to
+  // zero bytes. The stream's header names its shard and sweep, and the
+  // scan refuses a mismatch before it truncates anything.
   const auto cfg = small_sweep();
   auto spec = gt_spec(cfg, stem("precious"));
   const auto done = run_worker(spec);
   ASSERT_TRUE(done.complete);
   const auto before = records_of(done.records_path);
   ASSERT_EQ(before.size(), 4u);
+  const std::string bytes = read_file(done.records_path);
+  // No file but the stream could vouch for it.
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().string(), done.records_path);
+    ++files;
+  }
+  ASSERT_EQ(files, 1u);
 
   spec.resume = true;
   spec.evaluator = EvaluatorSpec{};  // forgot --evaluator ground_truth
   EXPECT_THROW((void)run_worker(spec), std::runtime_error);
   // The expensive stream survives untouched.
-  EXPECT_EQ(records_of(done.records_path), before);
-
-  // And with the right evaluator the resume is still a clean no-op.
+  EXPECT_EQ(read_file(done.records_path), bytes);
+  // So does it under another shard's spec.
   spec.evaluator = testbed::gt_evaluator_spec(cfg);
+  spec.shard_count = 2;
+  spec.shard_id = 1;
+  EXPECT_THROW((void)run_worker(spec), std::runtime_error);
+  EXPECT_EQ(read_file(done.records_path), bytes);
+
+  // And with the right spec the resume is still a clean no-op.
+  spec.shard_count = 1;
+  spec.shard_id = 0;
   const auto resumed = run_worker(spec);
   EXPECT_TRUE(resumed.complete);
   EXPECT_EQ(resumed.evaluated_records, 0u);
@@ -346,39 +370,33 @@ TEST_F(GtShardedSweepTest, ResumeUnderWrongEvaluatorRefusesAndPreservesData) {
 }
 
 TEST_F(GtShardedSweepTest, ResumeAccumulatesWorkerStatsInsteadOfClobbering) {
-  // Regression (worker.cpp): set_stats ran unconditionally with this leg's
-  // wall time, so a resume that evaluated zero new records rewrote the
-  // checkpoint with ~0 ms and wiped the recorded thread count.
+  // Regression (worker.cpp): set_stats ran unconditionally with one
+  // step's wall time, so a step that evaluated zero new records reported
+  // ~0 ms and wiped the recorded thread count. A run's stats now
+  // accumulate over its steps, across a mid-chunk reopen too.
   const auto cfg = small_sweep();
   auto spec = gt_spec(cfg, stem("stats"));
   spec.threads = 2;
+  ShardRun run(spec);
 
-  const auto first = run_worker(spec, /*max_new_records=*/2);
+  const auto first = run.step(/*max_new_records=*/1);  // off the chunk grid
   ASSERT_FALSE(first.complete);
   const double wall_first = first.partial.wall_ms;
   EXPECT_GT(wall_first, 0.0);
   EXPECT_EQ(first.partial.threads, 2u);
 
-  spec.resume = true;
-  const auto second = run_worker(spec);
+  const auto second = run.step();
   ASSERT_TRUE(second.complete);
   EXPECT_GT(second.evaluated_records, 0u);
-  // Accumulated: the completed run's wall includes the first leg's.
   EXPECT_GE(second.partial.wall_ms, wall_first);
   const double wall_complete = second.partial.wall_ms;
 
-  // The no-op resume leg must preserve, not clobber.
-  const auto third = run_worker(spec);
+  // A step with nothing left to evaluate must preserve, not clobber.
+  const auto third = run.step();
   EXPECT_TRUE(third.complete);
   EXPECT_EQ(third.evaluated_records, 0u);
   EXPECT_GE(third.partial.wall_ms, wall_complete);
   EXPECT_EQ(third.partial.threads, 2u);
-
-  // And the persisted checkpoint agrees with the returned partial.
-  const auto persisted = PartialReduction::from_json(
-      Json::parse(read_text_file(third.partial_path)));
-  EXPECT_EQ(persisted.wall_ms, third.partial.wall_ms);
-  EXPECT_EQ(persisted.threads, 2u);
 }
 
 TEST_F(GtShardedSweepTest, WorkerSpecValidatesAndNormalizesOnJsonLoad) {

@@ -104,9 +104,34 @@ TEST_F(RecordStreamTest, FormatHelpers) {
   EXPECT_THROW((void)format_from_name("csv"), std::invalid_argument);
   EXPECT_EQ(record_path("out/s0"), "out/s0.xrb");
   EXPECT_TRUE(is_record_path("a/b.xrb"));
-  EXPECT_FALSE(is_record_path("a/b.partial.json"));
+  EXPECT_FALSE(is_record_path("a/b.summary.json"));
   EXPECT_FALSE(is_record_path("xrb"));
   EXPECT_FALSE(is_record_path(".xrb"));
+}
+
+/// The first field in which two reductions differ, or "" when none does:
+/// counts, argmins, extrema, frontier and GT sums. Identity and
+/// throughput stats are left to the caller.
+std::string reduction_diff(const PartialReduction& a,
+                           const PartialReduction& b) {
+  if (a.evaluated() != b.evaluated()) return "evaluated";
+  if (a.best_latency_index() != b.best_latency_index())
+    return "best_latency_index";
+  if (a.best_energy_index() != b.best_energy_index())
+    return "best_energy_index";
+  if (a.min_latency_ms() != b.min_latency_ms()) return "min_latency_ms";
+  if (a.max_latency_ms() != b.max_latency_ms()) return "max_latency_ms";
+  if (a.min_energy_mj() != b.min_energy_mj()) return "min_energy_mj";
+  if (a.max_energy_mj() != b.max_energy_mj()) return "max_energy_mj";
+  const auto pa = a.pareto(), pb = b.pareto();
+  if (pa.size() != pb.size()) return "pareto size";
+  for (std::size_t k = 0; k < pa.size(); ++k)
+    if (pa[k].index != pb[k].index || pa[k].latency_ms != pb[k].latency_ms ||
+        pa[k].energy_mj != pb[k].energy_mj)
+      return "pareto[" + std::to_string(k) + "]";
+  if (a.ground_truth() != b.ground_truth()) return "evaluator kind";
+  if (a.gt() && !a.gt()->same_values(*b.gt())) return "gt sums";
+  return "";
 }
 
 /// Write records 0..n-1 of `grid` to <stem>.xrb, one chunk per
@@ -275,7 +300,8 @@ TEST_F(RecordStreamTest, ShardsMergeBitwiseIdenticalToMonolithic) {
   for (ShardStrategy strategy :
        {ShardStrategy::kRange, ShardStrategy::kStrided}) {
     constexpr std::size_t kShards = 3;
-    std::vector<std::string> partials, records;
+    std::vector<PartialReduction> partials;
+    std::vector<std::string> records;
     for (std::size_t k = 0; k < kShards; ++k) {
       WorkerSpec spec;
       spec.grid = grid_spec;
@@ -288,10 +314,10 @@ TEST_F(RecordStreamTest, ShardsMergeBitwiseIdenticalToMonolithic) {
       const auto outcome = run_worker(spec);
       ASSERT_TRUE(outcome.complete);
       EXPECT_EQ(outcome.records_path, spec.output + ".xrb");
-      partials.push_back(outcome.partial_path);
+      partials.push_back(outcome.partial);
       records.push_back(outcome.records_path);
     }
-    const auto from_partials = merge_partial_files(partials);
+    const auto from_partials = merge_partials(partials);
     // Merge the shards straight from their record streams.
     const auto from_records = merge_partial_files(records);
     std::string why;
@@ -302,7 +328,7 @@ TEST_F(RecordStreamTest, ShardsMergeBitwiseIdenticalToMonolithic) {
   }
 }
 
-TEST_F(RecordStreamTest, MixedFormatShardsMergeFreely) {
+TEST_F(RecordStreamTest, MergeTakesOnlyRecordStreams) {
   const auto grid_spec = testbed::ablation_grid_spec();
   const auto grid = grid_spec.build();
   const auto mono = BatchEvaluator({}, BatchOptions{1}).run(grid);
@@ -318,33 +344,34 @@ TEST_F(RecordStreamTest, MixedFormatShardsMergeFreely) {
   spec.output = stem("m1");
   const auto shard1 = run_worker(spec);
 
-  // One .xrb record stream + one .partial.json checkpoint, folded into
-  // one summary.
   const auto merged =
-      merge_partial_files({shard0.records_path, shard1.partial_path});
+      merge_partial_files({shard0.records_path, shard1.records_path});
   std::string why;
   EXPECT_TRUE(matches_batch_result(merged, mono, &why)) << why;
 
-  // partial_from_records reproduces each worker's own reduction.
+  // partial_from_records reproduces each worker's own reduction; the
+  // stream names its own sweep, and a fold carries no throughput stats.
   for (const auto* outcome : {&shard0, &shard1}) {
     const auto partial = partial_from_records(outcome->records_path);
-    EXPECT_EQ(partial.evaluated(), outcome->partial.evaluated());
-    EXPECT_EQ(partial.min_latency_ms(), outcome->partial.min_latency_ms());
-    EXPECT_EQ(partial.best_energy_index(),
-              outcome->partial.best_energy_index());
-    EXPECT_EQ(partial.threads, outcome->partial.threads);
+    EXPECT_EQ(reduction_diff(partial, outcome->partial), "");
+    EXPECT_EQ(partial.identity().grid_fingerprint,
+              outcome->partial.identity().grid_fingerprint);
+    EXPECT_EQ(partial.identity().shard_id,
+              outcome->partial.identity().shard_id);
+    EXPECT_EQ(partial.wall_ms, 0.0);
   }
+  EXPECT_EQ(merged.stats.wall_ms_sum, 0.0);
 
-  // The stream names its own sweep: without the checkpoint it still
-  // folds, only the throughput stats are gone.
-  fs::remove(stem("m0") + ".partial.json");
-  const auto bare = partial_from_records(shard0.records_path);
-  EXPECT_EQ(bare.identity().grid_fingerprint,
-            shard0.partial.identity().grid_fingerprint);
-  EXPECT_EQ(bare.evaluated(), shard0.partial.evaluated());
-  EXPECT_EQ(bare.wall_ms, 0.0);
-  EXPECT_THROW((void)partial_from_records(stem("m0") + ".partial.json"),
-               std::invalid_argument);
+  // Any other operand is refused by name.
+  const std::string other = stem("m0") + ".summary.json";
+  write_file(other, merged.to_json().dump());
+  try {
+    (void)merge_partial_files({shard0.records_path, other});
+    FAIL() << "a non-.xrb operand was merged";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(other), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(RecordStreamTest, BinaryResumeAfterKillIsByteIdentical) {
@@ -594,11 +621,11 @@ TEST_F(RecordStreamTest, SeededByteMutationsThrowOrReadBackTheOriginal) {
     const ShardIdentity id{0, 1, ShardStrategy::kRange, n, 21};
     const std::string path = options.output_stem + ".xrb";
     // The original stream and what every reader makes of it.
-    std::vector<std::string> prefix_partials;  // reduction of records [0, k)
+    std::vector<PartialReduction> prefix_partials;  // of records [0, k)
     {
       RecordSink sink(options, id);
       PartialReduction partial(id, shape.ground_truth);
-      prefix_partials.push_back(partial.to_json().dump());
+      prefix_partials.push_back(partial);
       for (std::size_t i = 0; i < n; ++i) {
         const EvaluatedPoint p =
             shape.ground_truth ? evaluate_point(gt_ev, model, grid.at(i), i)
@@ -609,7 +636,7 @@ TEST_F(RecordStreamTest, SeededByteMutationsThrowOrReadBackTheOriginal) {
           partial.add(i, p.gt->mean_latency_ms, p.gt->mean_energy_mj, &*p.gt);
         else
           partial.add(i, p.report.latency.total, p.report.energy.total);
-        prefix_partials.push_back(partial.to_json().dump());
+        prefix_partials.push_back(partial);
         if ((i + 1) % options.chunk_records == 0) (void)sink.flush();
       }
       (void)sink.flush();
@@ -617,13 +644,8 @@ TEST_F(RecordStreamTest, SeededByteMutationsThrowOrReadBackTheOriginal) {
     const std::string original = read_file(path);
     const std::vector<std::string> lines = dump_lines(path);
     ASSERT_EQ(lines.size(), n);
-    // The fold's identity comes from the header; compare the rest.
-    const auto fold_sans_identity = [&] {
-      Json doc = fold_binary_partial(path).to_json();
-      doc.set("shard", Json());
-      return doc.dump();
-    };
-    const std::string folded = fold_sans_identity();
+    // The fold's identity comes from the header (a reader may pass the
+    // identity bytes through); compare the values.
 
     std::mt19937_64 rng(0x5EED0000u + original.size());
     for (std::size_t at = 0; at < original.size(); ++at) {
@@ -634,13 +656,18 @@ TEST_F(RecordStreamTest, SeededByteMutationsThrowOrReadBackTheOriginal) {
       // a reader may pass them through with the original records.
       (void)runtime_error_of(
           [&] { EXPECT_EQ(dump_lines(path), lines) << "byte " << at; });
-      (void)runtime_error_of(
-          [&] { EXPECT_EQ(fold_sans_identity(), folded) << "byte " << at; });
+      (void)runtime_error_of([&] {
+        EXPECT_EQ(reduction_diff(fold_binary_partial(path),
+                                 prefix_partials[n]),
+                  "")
+            << "byte " << at;
+      });
       (void)runtime_error_of([&] {
         const auto recovered = StreamingSink::scan_existing(options, id, plan);
         ASSERT_LE(recovered.records, n) << "byte " << at;
-        EXPECT_EQ(recovered.partial.to_json().dump(),
-                  prefix_partials[recovered.records])
+        EXPECT_EQ(reduction_diff(recovered.partial,
+                                 prefix_partials[recovered.records]),
+                  "")
             << "byte " << at;
       });
     }

@@ -1,9 +1,9 @@
 // The sharded sweep acceptance contract: for random grids and shard counts
 // K ∈ {1, 2, 3, 7}, merging K partial reductions reproduces the monolithic
 // BatchEvaluator result bitwise (indices, optima, ranges, Pareto set), a
-// worker killed between chunks resumes to byte-identical outputs, and a
-// shard stepped in slices through one ShardRun writes the bytes one
-// run_worker call writes.
+// worker killed between chunks resumes from its record stream alone to
+// byte-identical outputs, and a shard stepped in slices through one
+// ShardRun writes the bytes one run_worker call writes.
 #include "runtime/shard/merge.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/failpoint.h"
 #include "core/framework.h"
 #include "runtime/shard/worker.h"
 #include "testbed/experiments.h"
@@ -136,7 +137,7 @@ TEST_F(ShardedMergeTest, WorkerProcessesAndMergeMatchMonolithicRun) {
   const auto mono = BatchEvaluator({}, BatchOptions{1}).run(grid);
 
   constexpr std::size_t kShards = 3;
-  std::vector<std::string> partial_paths;
+  std::vector<std::string> record_paths;
   for (std::size_t k = 0; k < kShards; ++k) {
     WorkerSpec spec;
     spec.grid = grid_spec;
@@ -148,10 +149,10 @@ TEST_F(ShardedMergeTest, WorkerProcessesAndMergeMatchMonolithicRun) {
     EXPECT_TRUE(outcome.complete);
     EXPECT_EQ(outcome.shard_records,
               ShardPlan(grid.size(), kShards).shard_size(k));
-    partial_paths.push_back(outcome.partial_path);
+    record_paths.push_back(outcome.records_path);
   }
 
-  const auto merged = merge_partial_files(partial_paths);
+  const auto merged = merge_partial_files(record_paths);
   std::string why;
   EXPECT_TRUE(matches_batch_result(merged, mono, &why)) << why;
 
@@ -214,14 +215,37 @@ TEST_F(ShardedMergeTest, ResumeAfterKillIsByteIdentical) {
   EXPECT_EQ(read_file(third.records_path), read_file(clean.records_path));
 }
 
-/// A checkpoint's bytes minus its wall time, the one field outside the
-/// byte-identity law.
-std::string checkpoint_sans_wall(const std::string& path) {
-  Json doc = Json::parse(read_file(path));
-  Json stats = doc.at("stats");
-  stats.set("wall_ms", 0.0);
-  doc.set("stats", std::move(stats));
-  return doc.dump();
+TEST_F(ShardedMergeTest, StreamOnlyStemResumesByteIdentical) {
+  // The stem a kill after the first chunk leaves is one file, the record
+  // stream; its header names the shard and sweep, and resume needs
+  // nothing else.
+  WorkerSpec spec;
+  spec.grid = testbed::ablation_grid_spec();
+  spec.shard_id = 0;
+  spec.shard_count = 2;
+  spec.chunk_records = 4;
+  spec.output = stem("clean");
+  const auto clean = run_worker(spec);
+  ASSERT_TRUE(clean.complete);
+  ASSERT_GT(clean.shard_records, spec.chunk_records);
+
+  fs::create_directories(dir_ / "killed");
+  spec.output = (dir_ / "killed" / "shard0").string();
+  const auto first = run_worker(spec, spec.chunk_records);
+  ASSERT_FALSE(first.complete);
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir_ / "killed"))
+    files.push_back(entry.path());
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].string(), first.records_path);
+
+  spec.resume = true;
+  const auto resumed = run_worker(spec);
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.resumed_records, spec.chunk_records);
+  EXPECT_EQ(resumed.evaluated_records,
+            clean.shard_records - spec.chunk_records);
+  EXPECT_EQ(read_file(resumed.records_path), read_file(clean.records_path));
 }
 
 TEST_F(ShardedMergeTest, SteppedShardRunMatchesOneRun) {
@@ -245,8 +269,6 @@ TEST_F(ShardedMergeTest, SteppedShardRunMatchesOneRun) {
   const auto expect_clean = [&](const WorkerOutcome& out) {
     EXPECT_TRUE(out.complete);
     EXPECT_EQ(read_file(out.records_path), read_file(clean.records_path));
-    EXPECT_EQ(checkpoint_sans_wall(out.partial_path),
-              checkpoint_sans_wall(clean.partial_path));
     std::string why;
     EXPECT_TRUE(summaries_equivalent(
         merge_partials({sibling.partial, clean.partial}),
@@ -291,23 +313,43 @@ TEST_F(ShardedMergeTest, SteppedShardRunMatchesOneRun) {
 }
 
 TEST_F(ShardedMergeTest, AFailedStepRetiresTheShardRun) {
+  if (!fail::kEnabled) GTEST_SKIP() << "fault layer compiled out";
   WorkerSpec spec;
   spec.grid = testbed::ablation_grid_spec();
   spec.chunk_records = 2;
-  spec.output = (dir_ / "gone" / "shard0").string();
-  fs::create_directories(dir_ / "gone");
+  spec.output = stem("shard0");
   ShardRun run(spec);
   (void)run.step(2);
-  // The next checkpoint cannot be written: the step throws, and the run
-  // refuses to step on from a reduction its files no longer match.
-  fs::remove_all(dir_ / "gone");
+  // The next chunk flush fails: the step throws, and the run refuses to
+  // step on from a reduction its stream no longer matches.
+  fail::FaultSchedule schedule;
+  fail::FaultRule flush;
+  flush.point = "shard.sink.flush";
+  flush.trigger.kind = fail::Trigger::Kind::kNth;
+  flush.trigger.n = 1;
+  flush.action = fail::Action::kIoError;
+  schedule.rules = {flush};
+  fail::load_schedule(schedule);
   EXPECT_THROW((void)run.step(2), std::runtime_error);
+  fail::clear_schedule();
   EXPECT_THROW((void)run.step(2), std::logic_error);
+}
+
+/// The message of the std::runtime_error `f` throws ("" when it does not).
+template <class F>
+std::string runtime_error_of(F&& f) {
+  try {
+    f();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST_F(ShardedMergeTest, ResumeRefusesADifferentGrid) {
   // Same shape (index sequence indistinguishable), different axis values:
-  // only the grid fingerprint in the checkpoint can tell them apart.
+  // only the sweep fingerprint in the stream's header can tell them
+  // apart. The refusal comes before the scan truncates anything.
   GridSpec original = testbed::ablation_grid_spec();
   GridSpec edited = original;
   edited.axes[1].numbers[0] += 10.0;
@@ -320,13 +362,30 @@ TEST_F(ShardedMergeTest, ResumeRefusesADifferentGrid) {
   spec.output = stem("shard0");
   const auto first = run_worker(spec, /*max_new_records=*/4);
   ASSERT_FALSE(first.complete);
+  const std::string bytes = read_file(first.records_path);
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().string(), first.records_path);
+    ++files;
+  }
+  ASSERT_EQ(files, 1u) << "the stem holds more than its record stream";
 
   spec.resume = true;
   spec.grid = edited;
-  EXPECT_THROW((void)run_worker(spec), std::runtime_error);
+  EXPECT_NE(runtime_error_of([&] { (void)run_worker(spec); })
+                .find("different shard identity or sweep fingerprint"),
+            std::string::npos);
+  EXPECT_EQ(read_file(first.records_path), bytes);
+  // Another shard's spec over the same stem is refused the same way.
+  spec.grid = original;
+  spec.shard_id = 1;
+  EXPECT_NE(runtime_error_of([&] { (void)run_worker(spec); })
+                .find("different shard identity or sweep fingerprint"),
+            std::string::npos);
+  EXPECT_EQ(read_file(first.records_path), bytes);
 
   // The original spec still resumes cleanly.
-  spec.grid = original;
+  spec.shard_id = 0;
   const auto resumed = run_worker(spec);
   EXPECT_TRUE(resumed.complete);
   EXPECT_EQ(resumed.resumed_records, 4u);

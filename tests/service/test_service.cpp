@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -66,9 +68,9 @@ class InMemoryTransport : public Transport {
   std::map<std::string, std::string> board_;
 };
 
-/// Prefer tmpfs: the worker loop's slice cadence rewrites checkpoints
-/// constantly, and a disk mounted with synchronous discard turns each
-/// rewrite into milliseconds-to-seconds of TRIM latency.
+/// Prefer tmpfs: every test writes and then deletes whole shard
+/// directories, and on a disk mounted with synchronous discard each
+/// delete pays TRIM latency.
 fs::path fast_tmp_root() {
   std::error_code ec;
   if (fs::is_directory("/dev/shm", ec)) return "/dev/shm";
@@ -456,6 +458,118 @@ TEST_F(SweepServiceTest, WorkerRefusesGrantsAgainstUnusableRequestDocuments) {
       << "the worker evaluated records off an unverifiable request";
   EXPECT_FALSE(fs::exists(dir_ / "shards"))
       << "a refused grant still wrote shard output";
+}
+
+/// A message of `kind` from `from` carrying `body` verbatim.
+Message raw_message(MessageKind kind, const std::string& from,
+                    core::Json body) {
+  Message msg;
+  msg.kind = kind;
+  msg.from = from;
+  msg.body = std::move(body);
+  return msg;
+}
+
+/// A snapshot from a build whose snapshot schema moved on.
+Message skewed_snapshot(const std::string& from) {
+  core::Json doc = core::Json::object();
+  doc.set("schema", "xr.obs.snapshot.v2");
+  return make_snapshot(from, std::move(doc));
+}
+
+/// Slips a skewed snapshot from `from` into the coordinator's mailbox
+/// ahead of the first shutdown, so it lands in the drain loop.
+class SkewedDrainSnapshotTransport : public InMemoryTransport {
+ public:
+  explicit SkewedDrainSnapshotTransport(std::string from)
+      : from_(std::move(from)) {}
+  void send(const std::string& to, const Message& msg) override {
+    if (msg.kind == MessageKind::kShutdown && !injected_.exchange(true))
+      InMemoryTransport::send(kCoordinatorEndpoint, skewed_snapshot(from_));
+    InMemoryTransport::send(to, msg);
+  }
+
+ private:
+  std::string from_;
+  std::atomic<bool> injected_{false};
+};
+
+TEST_F(SweepServiceTest, MalformedBodiesCostAMessageNotTheSweep) {
+  // Valid envelopes with bodies that do not parse, all from the real
+  // worker's name: the coordinator drops each one as stale and the sweep
+  // still merges bitwise.
+  const SweepRequest request = demo_request();
+  SkewedDrainSnapshotTransport transport("w0");
+  transport.send(kCoordinatorEndpoint, make_register("w0"));
+  Message heartbeat = make_heartbeat("w0", HeartbeatBody{});
+  heartbeat.body.set("skew", true);  // a field this build does not know
+  transport.send(kCoordinatorEndpoint, heartbeat);
+  core::Json complete = core::Json::object();  // no records_path
+  complete.set("lease", std::size_t{0});
+  complete.set("attempt", std::size_t{0});
+  complete.set("records", std::size_t{4});
+  transport.send(kCoordinatorEndpoint,
+                 raw_message(MessageKind::kLeaseComplete, "w0", complete));
+  core::Json failed = core::Json::object();  // no lease
+  failed.set("error", "skewed");
+  transport.send(kCoordinatorEndpoint,
+                 raw_message(MessageKind::kLeaseFailed, "w0", failed));
+  transport.send(kCoordinatorEndpoint, skewed_snapshot("w0"));
+
+  CoordinatorOptions options;
+  options.shards = 3;
+  options.shard_dir = (dir_ / "shards").string();
+  options.poll_ms = 2;
+  options.lease_timeout_ms = 5000;
+  const std::uint64_t stale0 = counter("service.coordinator.stale_messages");
+  WorkerLoopOutcome out;
+  std::thread worker(
+      [&] { out = run_service_worker(transport, worker_options("w0")); });
+  std::optional<CoordinatorResult> result;
+  std::string error;
+  try {
+    result = run_coordinator(transport, request, options);
+  } catch (const std::exception& e) {
+    error = e.what();
+    transport.send("w0", make_shutdown());
+  }
+  worker.join();
+
+  ASSERT_TRUE(result.has_value()) << "run_coordinator threw: " << error;
+  EXPECT_TRUE(out.shutdown);
+  std::string why;
+  EXPECT_TRUE(shard::summaries_equivalent(result->summary,
+                                          run_request(request), &why))
+      << why;
+  if (obs::kEnabled) {
+    EXPECT_GE(counter("service.coordinator.stale_messages") - stale0, 5u);
+  }
+}
+
+TEST_F(SweepServiceTest, WorkerDropsMalformedGrantsAndRevokes) {
+  // A grant without its fingerprint and a revoke without its lease reach
+  // a lone worker ahead of the shutdown. The worker drops both (lease
+  // expiry recovers a grant nobody acts on) and still hears the shutdown.
+  InMemoryTransport transport;
+  core::Json grant = core::Json::object();
+  grant.set("lease", std::size_t{0});
+  grant.set("attempt", std::size_t{0});
+  grant.set("shard_count", std::size_t{2});
+  grant.set("strategy", "range");
+  grant.set("output", (dir_ / "shards" / "shard0.a0").string());
+  transport.send("solo", raw_message(MessageKind::kLeaseGrant,
+                                     kCoordinatorEndpoint, grant));
+  core::Json revoke = core::Json::object();
+  revoke.set("attempt", std::size_t{0});
+  transport.send("solo", raw_message(MessageKind::kRevoke,
+                                     kCoordinatorEndpoint, revoke));
+  transport.send("solo", make_shutdown());
+
+  WorkerLoopOutcome out;
+  EXPECT_NO_THROW(out = run_service_worker(transport, worker_options("solo")));
+  EXPECT_TRUE(out.shutdown);
+  EXPECT_EQ(out.records_evaluated, 0u);
+  EXPECT_FALSE(fs::exists(dir_ / "shards"));
 }
 
 TEST_F(SweepServiceTest, InjectedFaultsDoNotPerturbTheMergedBytes) {

@@ -51,57 +51,5 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 5);
 }
 
-TEST(Histogram, BinsAndCounts) {
-  Histogram h(0, 10, 10);
-  h.add(0.5);
-  h.add(0.5);
-  h.add(9.99);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, UnderOverflow) {
-  Histogram h(0, 1, 4);
-  h.add(-1);
-  h.add(2);
-  h.add(1.0);  // hi is exclusive
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0, 10, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8);
-  EXPECT_THROW((void)h.bin_lo(5), std::out_of_range);
-}
-
-TEST(Histogram, QuantileApproximatesNormal) {
-  Histogram h(-5, 5, 200);
-  math::Rng rng(3);
-  for (int i = 0; i < 50000; ++i) h.add(rng.normal());
-  EXPECT_NEAR(h.quantile(0.5), 0.0, 0.1);
-  EXPECT_NEAR(h.quantile(0.975), 1.96, 0.15);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(1, 1, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0, 1, 0), std::invalid_argument);
-}
-
-TEST(Histogram, InvalidQuantile) {
-  Histogram h(0, 1, 2);
-  EXPECT_THROW((void)h.quantile(1.5), std::invalid_argument);
-}
-
-TEST(Histogram, RenderShowsNonEmptyBins) {
-  Histogram h(0, 2, 2);
-  h.add(0.5);
-  const auto out = h.render();
-  EXPECT_NE(out.find("#"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace xr::trace

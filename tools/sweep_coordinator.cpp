@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
 
     auto request = xr::runtime::SweepRequest::from_json(
         Json::parse(read_text_file(request_path)));
-    // The checkpoint chunk is execution mechanics, not sweep identity: an
+    // The flush chunk is execution mechanics, not sweep identity: an
     // override changes the flush cadence, never the fingerprint.
     if (chunk_records) {
       if (*chunk_records == 0)

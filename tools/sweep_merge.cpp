@@ -1,11 +1,9 @@
-// sweep_merge — fold K shard partial reductions into one summary.
+// sweep_merge — fold K shard record streams into one summary.
 //
-//   $ sweep_merge --out merged.summary.json
-//                 out/s0.partial.json out/s1.partial.json ...
+//   $ sweep_merge --out merged.summary.json out/s0.xrb out/s1.xrb ...
 //
-// Operands may be .partial.json checkpoints or .xrb record streams (which
-// carry their own identity), in any mix — each path is told apart by its
-// extension and folded into the same merge.
+// Operands are .xrb record streams, which carry their own shard identity
+// and sweep fingerprint; any other path is refused by name.
 //
 //   $ sweep_merge --dump out/s0.xrb | grep '"i":42,'
 //
@@ -44,7 +42,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: sweep_merge [--out FILE] [--check FILE] "
                "[--request FILE [--plan-out FILE]] "
-               "[--metrics-out FILE] (PARTIAL.json|RECORDS.xrb)...\n"
+               "[--metrics-out FILE] RECORDS.xrb...\n"
                "       sweep_merge --dump RECORDS.xrb\n");
 }
 
@@ -71,7 +69,7 @@ int main(int argc, char** argv) {
   try {
     std::string out_path, check_path, request_path, plan_out_path;
     std::string metrics_out, dump_path;
-    std::vector<std::string> partial_paths;
+    std::vector<std::string> record_paths;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       const auto value = [&]() -> std::string {
@@ -89,7 +87,7 @@ int main(int argc, char** argv) {
         usage();
         return 0;
       } else {
-        partial_paths.push_back(arg);
+        record_paths.push_back(arg);
       }
     }
     if (!dump_path.empty()) {
@@ -100,27 +98,25 @@ int main(int argc, char** argv) {
       dump_records(dump_path);
       return 0;
     }
-    if (partial_paths.empty() ||
+    if (record_paths.empty() ||
         (!plan_out_path.empty() && request_path.empty())) {
       usage();
       return 2;
     }
 
-    const MergedSummary merged = merge_partial_files(partial_paths);
+    const MergedSummary merged = merge_partial_files(record_paths);
     std::printf(
         "sweep_merge: %zu shards (%s, %s) over %zu scenarios\n"
         "  best latency : index %zu -> %g ms\n"
         "  best energy  : index %zu -> %g mJ\n"
         "  latency range [%g, %g] ms, energy range [%g, %g] mJ\n"
-        "  Pareto frontier: %zu points\n"
-        "  worker wall: %.2f ms makespan, %.2f ms total\n",
+        "  Pareto frontier: %zu points\n",
         merged.stats.shards, strategy_name(merged.strategy),
         merged.gt ? "ground_truth" : "analytical", merged.grid_size,
         merged.best_latency_index, merged.min_latency_ms,
         merged.best_energy_index, merged.min_energy_mj,
         merged.min_latency_ms, merged.max_latency_ms, merged.min_energy_mj,
-        merged.max_energy_mj, merged.pareto.size(), merged.stats.wall_ms_max,
-        merged.stats.wall_ms_sum);
+        merged.max_energy_mj, merged.pareto.size());
     if (merged.gt)
       std::printf(
           "  ground truth : mean latency %g ms, mean energy %g mJ "
@@ -157,7 +153,7 @@ int main(int argc, char** argv) {
           Json::parse(read_text_file(request_path)));
       if (merged.grid_fingerprint != request.fingerprint())
         throw std::runtime_error(
-            "merged partials do not belong to the request in " +
+            "merged shards do not belong to the request in " +
             request_path + " (sweep fingerprint mismatch)");
       std::printf("  request %s: fingerprint verified\n",
                   request_path.c_str());

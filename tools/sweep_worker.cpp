@@ -2,10 +2,10 @@
 //
 // One process per shard; each writes a record stream of index-tagged
 // PerformanceReport records — <out>.xrb, the columnar encoding of
-// runtime/shard/binary_stream.h — and <out>.partial.json (the mergeable
-// reduction). sweep_merge folds K partials back into the monolithic
-// summary, and `sweep_merge --dump <out>.xrb` prints the records as JSON
-// lines. scripts/sweep_sharded.sh drives the whole flow.
+// runtime/shard/binary_stream.h, its only file. sweep_merge folds K
+// streams back into the monolithic summary, and `sweep_merge --dump
+// <out>.xrb` prints the records as JSON lines. scripts/sweep_sharded.sh
+// drives the whole flow.
 //
 //   # shard 1 of 3 of the testbed ablation grid
 //   $ sweep_worker --ablation-grid --shard-id 1 --shard-count 3
@@ -47,7 +47,7 @@
 //   $ sweep_worker --grid grid.json --shard-id 0 --shard-count 4 --out s0
 //
 // --resume continues a killed run from its last flushed chunk;
-// --max-records N stops after N new records (checkpoint demo / testing).
+// --max-records N stops after N new records (kill/resume demo / testing).
 //
 // --serve flips the process into the elastic sweep service's worker mode
 // (runtime/service/worker_loop.h): register with the coordinator whose
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
     // Two passes so flag order never matters: the spec/request document
     // loads first, then every explicit flag overrides it (--resume
     // alongside --spec must never be silently dropped — it guards a
-    // checkpoint).
+    // flushed prefix).
     bool have_request = false;
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--spec") == 0) {
@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
         outcome.records_path.c_str(),
         outcome.shard_records, outcome.resumed_records,
         outcome.evaluated_records,
-        outcome.complete ? "complete" : "stopped early (checkpointed)");
+        outcome.complete ? "complete" : "stopped early (flushed)");
     if (!metrics_out.empty()) xr::obs::write_snapshot_file(metrics_out);
     return 0;
   } catch (const std::exception& e) {
