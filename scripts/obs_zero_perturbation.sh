@@ -12,7 +12,8 @@
 # fault schedule loaded, and diffs every artifact that carries results:
 #
 #   1. a 2-shard ablation sweep and the local and remote Fig. 4
-#      ground-truth validation sweeps (200 frames, 4 threads): the .xrb
+#      ground-truth validation sweeps (200 frames, 4 threads), each run
+#      from the request its tree's sweep_plan emits: the .xrb
 #      record streams must be byte-identical, and the merged summaries
 #      bitwise equivalent (sweep_merge --check). The default tree runs
 #      these once more under
@@ -79,8 +80,10 @@ SWEEP_STREAMS=(s0.xrb s1.xrb gt_local.xrb gt_remote.xrb)
 run_sweep() {  # $1 = bindir, $2 = outdir
   local bin="$1" out="$2"
   mkdir -p "$out"
+  "$bin/sweep_plan" --emit-ablation-request > "$out/ablation.request.json"
   for k in 0 1; do
-    "$bin/sweep_worker" --ablation-grid --shard-id "$k" --shard-count 2 \
+    "$bin/sweep_worker" --request "$out/ablation.request.json" \
+                        --shard-id "$k" --shard-count 2 \
                         --out "$out/s$k" --chunk 4 \
                         --metrics-out "$out/s$k.metrics.json" >/dev/null
   done
@@ -88,10 +91,12 @@ run_sweep() {  # $1 = bindir, $2 = outdir
                      --metrics-out "$out/merge.metrics.json" \
                      "$out/s0.xrb" "$out/s1.xrb" >/dev/null
   for placement in local remote; do
-    "$bin/sweep_worker" --validation-grid "$placement" \
-                        --evaluator ground_truth --gt-frames 200 \
-                        --gt-seed 42 --threads 4 --shard-id 0 \
-                        --shard-count 1 --out "$out/gt_$placement" >/dev/null
+    "$bin/sweep_plan" --emit-validation-request "$placement" \
+                      --gt-frames 200 --gt-seed 42 \
+                      > "$out/gt_$placement.request.json"
+    "$bin/sweep_worker" --request "$out/gt_$placement.request.json" \
+                        --threads 4 --shard-id 0 --shard-count 1 \
+                        --out "$out/gt_$placement" >/dev/null
   done
 }
 

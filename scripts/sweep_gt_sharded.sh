@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Sharded *ground-truth* sweep acceptance gate: K sweep_worker processes
 # running the testbed-substitute simulator over the Fig. 4(b) validation
-# grid must merge bitwise-equivalent to the single-process summary — for
+# grid (one request, emitted by `sweep_plan --emit-validation-request`)
+# must merge bitwise-equivalent to the single-process summary — for
 # both range and strided partitioning, and through a kill/resume mid-shard.
 # Per-point simulator seeds derive from the global grid index, so shard
 # count, strategy, and resume position must not change a single bit: each
@@ -10,21 +11,19 @@
 #
 #   usage: scripts/sweep_gt_sharded.sh [BUILD_DIR] [SHARDS]
 #
-# BUILD_DIR defaults to ./build (binaries: sweep_worker, sweep_merge);
+# BUILD_DIR defaults to ./build (binaries: sweep_plan, sweep_worker,
+# sweep_merge);
 # SHARDS defaults to 3 (must be >= 3 for the acceptance criterion).
 set -euo pipefail
 
 BUILD_DIR="${1:-$(dirname "$0")/../build}"
 SHARDS="${2:-3}"
+PLAN="$BUILD_DIR/sweep_plan"
 WORKER="$BUILD_DIR/sweep_worker"
 MERGE="$BUILD_DIR/sweep_merge"
 
-# The ground-truth evaluator: modest fidelity keeps the gate fast; the
-# bitwise law is independent of the frame count.
-GT=(--validation-grid remote --evaluator ground_truth --gt-seed 42 --gt-frames 40)
-
-if [[ ! -x "$WORKER" || ! -x "$MERGE" ]]; then
-  echo "sweep_gt_sharded.sh: build sweep_worker/sweep_merge first (looked in $BUILD_DIR)" >&2
+if [[ ! -x "$PLAN" || ! -x "$WORKER" || ! -x "$MERGE" ]]; then
+  echo "sweep_gt_sharded.sh: build sweep_plan/sweep_worker/sweep_merge first (looked in $BUILD_DIR)" >&2
   exit 2
 fi
 if (( SHARDS < 3 )); then
@@ -34,6 +33,12 @@ fi
 
 OUT="$(mktemp -d "${TMPDIR:-/tmp}/sweep_gt_sharded.XXXXXX")"
 trap 'rm -rf "$OUT"' EXIT
+
+# The ground-truth request: modest fidelity keeps the gate fast; the
+# bitwise law is independent of the frame count.
+"$PLAN" --emit-validation-request remote --gt-seed 42 --gt-frames 40 \
+        > "$OUT/gt.request.json"
+GT=(--request "$OUT/gt.request.json")
 
 echo "== monolithic reference (shard_count = 1, ground_truth evaluator) =="
 "$WORKER" "${GT[@]}" --shard-id 0 --shard-count 1 --out "$OUT/mono"

@@ -11,21 +11,11 @@
 namespace xr::fail {
 
 using core::Json;
+using core::walk_strict;
 
 namespace {
 
 constexpr const char* kScheduleSchema = "xr.fault.schedule.v1";
-
-/// Shared strict-object walker (the message.cpp idiom): calls `field` for
-/// each member and throws, naming the offender, when it returns false.
-template <typename F>
-void walk_strict(const Json& j, const char* what, F&& field) {
-  for (const auto& [key, value] : j.as_object()) {
-    if (!field(key, value))
-      throw std::invalid_argument(std::string(what) + ": unknown field '" +
-                                  key + "'");
-  }
-}
 
 const char* trigger_kind_name(Trigger::Kind k) noexcept {
   switch (k) {

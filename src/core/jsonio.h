@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -118,5 +119,18 @@ class Json {
   Array array_;
   Object object_;
 };
+
+/// Strict-object walker shared by every strict parser: calls `field(key,
+/// value)` for each member of `j` and throws std::invalid_argument, naming
+/// the document part `what` and the offending key, when `field` returns
+/// false. A non-object `j` throws too.
+template <typename F>
+void walk_strict(const Json& j, const char* what, F&& field) {
+  for (const auto& [key, value] : j.as_object()) {
+    if (!field(key, value))
+      throw std::invalid_argument(std::string(what) + ": unknown field '" +
+                                  key + "'");
+  }
+}
 
 }  // namespace xr::core

@@ -4,22 +4,8 @@
 
 namespace xr::runtime::service {
 
-namespace {
-
 using core::Json;
-
-/// Shared strict-object walker: calls `field` for each member and throws
-/// (naming the document kind and the offender) when `field` returns false.
-template <typename F>
-void walk_strict(const Json& j, const char* what, F&& field) {
-  for (const auto& [key, value] : j.as_object()) {
-    if (!field(key, value))
-      throw std::invalid_argument(std::string(what) + ": unknown field '" +
-                                  key + "'");
-  }
-}
-
-}  // namespace
+using core::walk_strict;
 
 const char* message_kind_name(MessageKind k) noexcept {
   switch (k) {

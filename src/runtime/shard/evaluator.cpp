@@ -33,6 +33,10 @@ Json EvaluatorSpec::to_json() const {
 }
 
 EvaluatorSpec EvaluatorSpec::from_json(const Json& j) {
+  core::walk_strict(j, "evaluator", [](const std::string& key, const auto&) {
+    return key == "kind" || key == "seed" || key == "frames_per_point" ||
+           key == "pass";
+  });
   EvaluatorSpec out;
   out.kind = evaluator_from_name(j.at("kind").as_string());
   if (out.kind == EvaluatorKind::kGroundTruth) {

@@ -1,8 +1,8 @@
 // The shard layer's JSON vocabulary is core's (core/jsonio.h): the codec
 // moved down so serializable documents — ScenarioConfig, GridSpec,
 // SweepRequest — exist below the runtime layer. These imports keep the
-// shard subsystem's own documents (worker specs, records, partials)
-// spelled the way they always were.
+// shard subsystem's own documents (records, partials) spelled the way
+// they always were.
 #pragma once
 
 #include "core/jsonio.h"

@@ -126,72 +126,6 @@ WorkerSpec WorkerSpec::from_request(const runtime::SweepRequest& request,
   return spec;
 }
 
-Json WorkerSpec::to_json() const {
-  Json j = Json::object();
-  j.set("grid", grid.to_json());
-  j.set("evaluator", evaluator.to_json());
-  j.set("shard_id", shard_id);
-  j.set("shard_count", shard_count);
-  j.set("strategy", strategy_name(strategy));
-  j.set("output", output);
-  j.set("chunk_records", chunk_records);
-  j.set("threads", threads);
-  if (grain != 0) j.set("grain", grain);
-  j.set("metrics", metrics);
-  j.set("resume", resume);
-  if (adaptive) {
-    j.set("adaptive", adaptive->to_json());
-    j.set("adaptive_pass", adaptive_pass);
-    if (!refine.empty()) {
-      Json idx = Json::array();
-      for (std::size_t i : refine) idx.push_back(i);
-      j.set("refine", std::move(idx));
-    }
-    if (!coarse_input.empty()) j.set("coarse_input", coarse_input);
-  }
-  return j;
-}
-
-WorkerSpec WorkerSpec::from_json(const Json& j) {
-  WorkerSpec out;
-  out.grid = GridSpec::from_json(j.at("grid"));
-  if (const Json* e = j.find("evaluator"))
-    out.evaluator = EvaluatorSpec::from_json(*e);
-  out.shard_id = j.at("shard_id").as_size();
-  out.shard_count = j.at("shard_count").as_size();
-  if (out.shard_count == 0)
-    throw std::invalid_argument(
-        "WorkerSpec: shard_count must be >= 1 (got 0)");
-  if (const Json* s = j.find("strategy"))
-    out.strategy = strategy_from_name(s->as_string());
-  out.output = j.at("output").as_string();
-  // The one encoding may still be named; any other is refused by name.
-  if (const Json* f = j.find("format"))
-    (void)format_from_name(f->as_string());
-  if (const Json* c = j.find("chunk_records"))
-    out.chunk_records = c->as_size();
-  // Normalize once: 0 would otherwise mean "flush every record" to the
-  // sink but "chunks of 1" to the worker loop only by way of two separate
-  // clamps that could drift apart.
-  if (out.chunk_records == 0) out.chunk_records = 1;
-  if (const Json* t = j.find("threads")) out.threads = t->as_size();
-  if (const Json* g = j.find("grain")) out.grain = g->as_size();
-  if (const Json* m = j.find("metrics")) out.metrics = m->as_bool();
-  if (const Json* r = j.find("resume")) out.resume = r->as_bool();
-  if (const Json* a = j.find("adaptive"))
-    out.adaptive = runtime::AdaptiveSpec::from_json(*a);
-  // The leg fields parse unconditionally: a document carrying them with a
-  // missing (or misspelled) adaptive block must reach run_worker's
-  // loud-failure guard, not silently run a full single-fidelity sweep.
-  if (const Json* p = j.find("adaptive_pass"))
-    out.adaptive_pass = p->as_size();
-  if (const Json* rf = j.find("refine"))
-    for (const Json& v : rf->as_array()) out.refine.push_back(v.as_size());
-  if (const Json* c = j.find("coarse_input"))
-    out.coarse_input = c->as_string();
-  return out;
-}
-
 namespace {
 
 /// The spec checks that need no grid (the refine range check below needs

@@ -8,24 +8,13 @@
 // that runs a shard in slices — the service worker, one ShardRun per
 // lease — scans the stem once instead of once per slice.
 //
-// Shard spec document (the tools' --spec format):
-//
-//   {"grid": {<runtime::GridSpec>}, "evaluator": {<EvaluatorSpec>},
-//    "shard_id": 0, "shard_count": 4,
-//    "strategy": "range", "output": "out/shard0",
-//    "chunk_records": 64, "threads": 1, "metrics": false, "resume": false,
-//    // adaptive-fidelity legs only (runtime/adaptive.h):
-//    "adaptive": {<AdaptiveSpec>}, "adaptive_pass": 1|2,
-//    "refine": [..global indices..], "coarse_input": "out/coarse0"}
-//
-// A WorkerSpec is also derivable from the unified runtime::SweepRequest
-// (from_request below): the request contributes the grid, evaluator, and
-// execution mechanics; the shard assignment and output stem are this
-// worker's own.
-//
-// "evaluator" is optional and defaults to the analytical model; a
-// ground_truth evaluator streams per-point simulator measurements (seeded
-// from the *global* grid index — see evaluator.h) through the same sink.
+// A WorkerSpec is an in-memory struct with no document of its own: one
+// shard of a runtime::SweepRequest, built by from_request below. The
+// request contributes the grid, evaluator, adaptive block, and execution
+// mechanics; the shard assignment, output stem, and resume flag are this
+// worker's own. A ground_truth evaluator streams per-point simulator
+// measurements (seeded from the *global* grid index — see evaluator.h)
+// through the same sink as the analytical model.
 //
 // The worker writes one file, <output>.xrb (binary_stream.h): one record
 // per scenario in ascending global index, flushed a chunk at a time.
@@ -34,8 +23,7 @@
 // truncated), truncates any torn tail, rebuilds the reduction from the
 // valid prefix on the chunk grid, and continues from the first missing
 // record — so a re-run after a kill produces byte-identical outputs to an
-// uninterrupted run. A "format" field in a spec document is still
-// accepted when it names "binary".
+// uninterrupted run.
 #pragma once
 
 #include <cstddef>
@@ -104,15 +92,6 @@ struct WorkerSpec {
       const runtime::SweepRequest& request, std::size_t shard_id,
       std::size_t shard_count, ShardStrategy strategy,
       std::string output, bool resume = false);
-
-  [[nodiscard]] Json to_json() const;
-  /// Parses and validates/normalizes in one place: shard_count == 0 is
-  /// rejected with a clear error (rather than surfacing later as a
-  /// confusing ShardPlan/shard_id failure) and chunk_records == 0 is
-  /// normalized to 1 — the same clamp every consumer applies — so the
-  /// sink's flush cadence and the worker's chunk loop can never
-  /// disagree.
-  [[nodiscard]] static WorkerSpec from_json(const Json& j);
 };
 
 struct WorkerOutcome {

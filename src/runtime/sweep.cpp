@@ -179,6 +179,9 @@ core::Json AxisSpec::to_json() const {
 }
 
 AxisSpec AxisSpec::from_json(const core::Json& j) {
+  core::walk_strict(j, "grid axis", [](const std::string& key, const auto&) {
+    return key == "knob" || key == "values";
+  });
   AxisSpec axis;
   axis.knob = j.at("knob").as_string();
   for (const core::Json& v : j.at("values").as_array()) {
@@ -241,8 +244,15 @@ core::Json GridSpec::to_json() const {
 }
 
 GridSpec GridSpec::from_json(const core::Json& j) {
+  core::walk_strict(j, "grid", [](const std::string& key, const auto&) {
+    return key == "base" || key == "axes";
+  });
   GridSpec out;
   const core::Json& base = j.at("base");
+  core::walk_strict(base, "grid.base", [](const std::string& key,
+                                          const auto&) {
+    return key == "scenario" || key == "frame_size" || key == "cpu_ghz";
+  });
   const core::Json& which = base.at("scenario");
   if (which.is_string()) {
     out.factory = which.as_string();

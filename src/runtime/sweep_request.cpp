@@ -36,6 +36,9 @@ core::Json ReductionSpec::to_json() const {
 }
 
 ReductionSpec ReductionSpec::from_json(const core::Json& j) {
+  core::walk_strict(j, "reduction", [](const std::string& key, const auto&) {
+    return key == "kind" || key == "alpha";
+  });
   ReductionSpec out;
   out.kind = reduction_from_name(j.at("kind").as_string());
   if (const core::Json* a = j.find("alpha")) out.alpha = a->as_double();
@@ -55,16 +58,20 @@ core::Json ExecutionSpec::to_json() const {
 
 ExecutionSpec ExecutionSpec::from_json(const core::Json& j) {
   ExecutionSpec out;
-  if (const core::Json* t = j.find("threads")) out.threads = t->as_size();
-  if (const core::Json* c = j.find("chunk_records"))
-    out.chunk_records = c->as_size();
-  // The same normalization WorkerSpec applies: 0 means "flush every
-  // record", expressed as chunks of 1.
+  core::walk_strict(j, "execution", [&](const std::string& key,
+                                        const core::Json& value) {
+    if (key == "threads") out.threads = value.as_size();
+    else if (key == "chunk_records") out.chunk_records = value.as_size();
+    else if (key == "grain") out.grain = value.as_size();
+    else if (key == "metrics") out.metrics = value.as_bool();
+    else if (key == "format")
+      out.format = shard::format_from_name(value.as_string());
+    else return false;
+    return true;
+  });
+  // 0 means "flush every record", expressed as chunks of 1, so the sink's
+  // flush cadence and the worker's chunk loop read one value.
   if (out.chunk_records == 0) out.chunk_records = 1;
-  if (const core::Json* g = j.find("grain")) out.grain = g->as_size();
-  if (const core::Json* m = j.find("metrics")) out.metrics = m->as_bool();
-  if (const core::Json* f = j.find("format"))
-    out.format = shard::format_from_name(f->as_string());
   return out;
 }
 
@@ -94,12 +101,14 @@ void AdaptiveSpec::validate() const {
 
 AdaptiveSpec AdaptiveSpec::from_json(const core::Json& j) {
   AdaptiveSpec out;
-  if (const core::Json* c = j.find("coarse_frames"))
-    out.coarse_frames = c->as_size();
-  if (const core::Json* f = j.find("fine_frames"))
-    out.fine_frames = f->as_size();
-  if (const core::Json* b = j.find("band_fraction"))
-    out.band_fraction = b->as_double();
+  core::walk_strict(j, "adaptive", [&](const std::string& key,
+                                       const core::Json& value) {
+    if (key == "coarse_frames") out.coarse_frames = value.as_size();
+    else if (key == "fine_frames") out.fine_frames = value.as_size();
+    else if (key == "band_fraction") out.band_fraction = value.as_double();
+    else return false;
+    return true;
+  });
   out.validate();
   return out;
 }
@@ -122,6 +131,13 @@ core::Json SweepRequest::to_json() const {
 }
 
 SweepRequest SweepRequest::from_json(const core::Json& j) {
+  // Every block refuses keys it does not know, naming block and key: a
+  // misspelled "evaluater" must not quietly run the analytical default.
+  core::walk_strict(j, "sweep request", [](const std::string& key,
+                                           const auto&) {
+    return key == "schema" || key == "grid" || key == "evaluator" ||
+           key == "reduction" || key == "adaptive" || key == "execution";
+  });
   if (j.at("schema").as_string() != kRequestSchema)
     throw std::invalid_argument("SweepRequest: unknown schema '" +
                                 j.at("schema").as_string() + "'");

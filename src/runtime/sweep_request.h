@@ -13,6 +13,10 @@
 //    "execution": {"threads": N, "chunk_records": N, "grain": N,
 //                  "metrics": false}}
 //
+// from_json is strict: the request and every block it parses (grid, its
+// base and axes, evaluator, reduction, execution, adaptive) refuse a key
+// they do not know with std::invalid_argument naming block and key.
+//
 // The same document runs monolithically (run_request, below) or sharded
 // (sweep_worker --request, one process per shard, merged by sweep_merge)
 // with bitwise-equal results: run_request folds the exact PartialReduction

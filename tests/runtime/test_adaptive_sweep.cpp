@@ -447,19 +447,15 @@ TEST_F(AdaptiveSweepTest, FineLegGuardsItsInputs) {
   EXPECT_THROW((void)shard::run_worker(coarse_misuse),
                std::invalid_argument);
 
-  // A document carrying leg fields without an adaptive block (e.g. a
-  // misspelled key) must parse them so run_worker can refuse — never
-  // silently run a full single-fidelity sweep instead of the intended
-  // refinement leg.
+  // Leg fields on a shard of a request without an adaptive block (say,
+  // `sweep_worker --pass fine` on a plain request) are refused — never a
+  // silent full single-fidelity sweep in place of the intended leg.
   SweepRequest plain = request;
   plain.adaptive.reset();
-  auto doc = shard::WorkerSpec::from_request(
-                 plain, 0, 1, shard::ShardStrategy::kRange, stem("doc"))
-                 .to_json();
-  doc.set("adaptive_pass", std::size_t{2});
-  const auto parsed = shard::WorkerSpec::from_json(doc);
-  EXPECT_EQ(parsed.adaptive_pass, 2u);
-  EXPECT_THROW((void)shard::run_worker(parsed), std::invalid_argument);
+  auto stray_leg = shard::WorkerSpec::from_request(
+      plain, 0, 1, shard::ShardStrategy::kRange, stem("stray"));
+  stray_leg.adaptive_pass = 2;
+  EXPECT_THROW((void)shard::run_worker(stray_leg), std::invalid_argument);
 }
 
 TEST_F(AdaptiveSweepTest, RunRequestDispatchesToTheAdaptiveDriver) {
@@ -473,24 +469,6 @@ TEST_F(AdaptiveSweepTest, RunRequestDispatchesToTheAdaptiveDriver) {
   // The hybrid summary is NOT the fine-everywhere summary (unrefined
   // points keep coarse values) — the fingerprint seals the difference.
   EXPECT_EQ(via_run_request.grid_fingerprint, request.fingerprint());
-}
-
-TEST_F(AdaptiveSweepTest, WorkerSpecRoundTripsAdaptiveFields) {
-  const SweepRequest request = small_request();
-  auto spec = shard::WorkerSpec::from_request(
-      request, 1, 3, shard::ShardStrategy::kStrided, stem("w"));
-  spec.adaptive_pass = 2;
-  spec.refine = {0, 3, 5};
-  spec.coarse_input = stem("c1");
-  spec.grain = 4;
-  const auto back =
-      shard::WorkerSpec::from_json(Json::parse(spec.to_json().dump()));
-  ASSERT_TRUE(back.adaptive.has_value());
-  EXPECT_EQ(back.adaptive->coarse_frames, request.adaptive->coarse_frames);
-  EXPECT_EQ(back.adaptive_pass, 2u);
-  EXPECT_EQ(back.refine, spec.refine);
-  EXPECT_EQ(back.coarse_input, spec.coarse_input);
-  EXPECT_EQ(back.grain, 4u);
 }
 
 }  // namespace

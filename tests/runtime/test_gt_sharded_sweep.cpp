@@ -3,9 +3,8 @@
 // aggregates — are bitwise independent of shard count, strategy, thread
 // count, and resume position. Plus the worker/resume regression tests:
 // a run's steps accumulate (not clobber) its worker stats, a resume under
-// the wrong spec refuses before it truncates anything, and
-// WorkerSpec::from_json validates shard_count / normalizes chunk_records
-// in one place.
+// the wrong spec refuses before it truncates anything, and run_worker
+// refuses shard_count == 0 by name and runs chunk_records == 0.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -399,26 +398,12 @@ TEST_F(GtShardedSweepTest, ResumeAccumulatesWorkerStatsInsteadOfClobbering) {
   EXPECT_EQ(third.partial.threads, 2u);
 }
 
-TEST_F(GtShardedSweepTest, WorkerSpecValidatesAndNormalizesOnJsonLoad) {
+TEST_F(GtShardedSweepTest, RunWorkerRefusesZeroShardsAndRunsZeroChunks) {
   // Regression (worker.cpp): chunk_records == 0 was clamped in the worker
   // loop but passed raw into SinkOptions; shard_count == 0 surfaced as a
-  // confusing downstream error. Both are handled once in from_json now.
+  // confusing downstream error. run_worker rejects shard_count == 0 by
+  // name instead of as a misleading shard_id range failure.
   auto spec = gt_spec(small_sweep(), stem("spec"));
-  spec.chunk_records = 0;
-  auto normalized = WorkerSpec::from_json(spec.to_json());
-  EXPECT_EQ(normalized.chunk_records, 1u);
-
-  Json bad = spec.to_json();
-  bad.set("shard_count", std::size_t{0});
-  try {
-    (void)WorkerSpec::from_json(bad);
-    FAIL() << "shard_count == 0 must be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("shard_count"), std::string::npos);
-  }
-
-  // run_worker rejects a hand-built shard_count == 0 spec with the same
-  // clear error instead of a misleading shard_id range failure.
   spec.shard_count = 0;
   try {
     (void)run_worker(spec);

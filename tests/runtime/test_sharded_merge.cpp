@@ -433,33 +433,5 @@ TEST_F(ShardedMergeTest, MergeRejectsBadCovers) {
       std::invalid_argument);
 }
 
-TEST_F(ShardedMergeTest, WorkerSpecJsonRoundTrips) {
-  WorkerSpec spec;
-  spec.grid = testbed::ablation_grid_spec();
-  spec.shard_id = 2;
-  spec.shard_count = 5;
-  spec.strategy = ShardStrategy::kStrided;
-  spec.output = "out/shard2";
-  spec.chunk_records = 16;
-  spec.threads = 2;
-  spec.resume = true;
-
-  const auto back = WorkerSpec::from_json(Json::parse(spec.to_json().dump()));
-  EXPECT_EQ(back.shard_id, 2u);
-  EXPECT_EQ(back.shard_count, 5u);
-  EXPECT_EQ(back.strategy, ShardStrategy::kStrided);
-  EXPECT_EQ(back.output, "out/shard2");
-  EXPECT_EQ(back.chunk_records, 16u);
-  EXPECT_EQ(back.threads, 2u);
-  EXPECT_TRUE(back.resume);
-  EXPECT_EQ(back.grid.build().size(), spec.grid.build().size());
-
-  // The one record encoding is never written but may still be named.
-  Json doc = spec.to_json();
-  EXPECT_EQ(doc.find("format"), nullptr);
-  doc.set("format", "binary");
-  EXPECT_EQ(WorkerSpec::from_json(doc).output, "out/shard2");
-}
-
 }  // namespace
 }  // namespace xr::runtime::shard

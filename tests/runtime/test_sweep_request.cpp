@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "runtime/shard/binary_stream.h"
 #include "runtime/shard/merge.h"
 #include "runtime/shard/worker.h"
+#include "testbed/experiments.h"
 
 namespace xr::runtime {
 namespace {
@@ -82,6 +84,44 @@ TEST_F(SweepRequestTest, JsonRoundTripIsDeterministic) {
   EXPECT_EQ(back.fingerprint(), request.fingerprint());
   EXPECT_EQ(back.execution.chunk_records, 4u);
   EXPECT_EQ(back.reduction.kind, ReductionKind::kSummary);
+
+  // chunk_records 0 means "flush every record": chunks of 1, so the
+  // sink's flush cadence and the worker's chunk loop read one value.
+  Json zero_chunk = request.execution.to_json();
+  zero_chunk.set("chunk_records", std::size_t{0});
+  EXPECT_EQ(ExecutionSpec::from_json(zero_chunk).chunk_records, 1u);
+}
+
+/// `doc` with member `key` added to the object at `path`: member names,
+/// and "[0]" for an array's first element.
+Json with_member(const Json& doc, const std::vector<std::string>& path,
+                 const std::string& key, std::size_t depth = 0) {
+  if (depth == path.size()) {
+    Json out = doc;
+    out.set(key, 1);
+    return out;
+  }
+  if (path[depth] == "[0]") {
+    Json out = Json::array();
+    for (const Json& e : doc.as_array())
+      out.push_back(out.as_array().empty()
+                        ? with_member(e, path, key, depth + 1)
+                        : e);
+    return out;
+  }
+  Json out = doc;
+  out.set(path[depth], with_member(doc.at(path[depth]), path, key, depth + 1));
+  return out;
+}
+
+/// What SweepRequest::from_json says about `doc` ("" when it parses).
+std::string refusal(const Json& doc) {
+  try {
+    (void)SweepRequest::from_json(doc);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST_F(SweepRequestTest, RejectsBadDocuments) {
@@ -121,6 +161,138 @@ TEST_F(SweepRequestTest, RejectsBadDocuments) {
     EXPECT_NE(std::string(e.what()).find("sweep_merge --dump"),
               std::string::npos);
   }
+
+  // Every block refuses a key it does not know, naming block and key: a
+  // misspelled "evaluater" must not quietly run the analytical default,
+  // nor an "alpah" plan with the default weight.
+  SweepRequest every_block = demo_request();
+  every_block.evaluator.kind = shard::EvaluatorKind::kGroundTruth;
+  every_block.adaptive = AdaptiveSpec{};
+  const Json full = every_block.to_json();
+  ASSERT_EQ(refusal(full), "");
+  struct Stray {
+    std::vector<std::string> path;
+    const char* key;
+    const char* block;
+  };
+  for (const Stray& stray : {Stray{{}, "evaluater", "sweep request"},
+                             Stray{{"grid"}, "axis", "grid"},
+                             Stray{{"grid", "base"}, "cpu_hz", "grid.base"},
+                             Stray{{"grid", "axes", "[0]"}, "value",
+                                   "grid axis"},
+                             Stray{{"evaluator"}, "frames", "evaluator"},
+                             Stray{{"reduction"}, "alpah", "reduction"},
+                             Stray{{"execution"}, "thread", "execution"},
+                             Stray{{"adaptive"}, "band", "adaptive"}}) {
+    const std::string why = refusal(with_member(full, stray.path, stray.key));
+    EXPECT_NE(why.find(std::string(stray.block) + ": unknown field '" +
+                       stray.key + "'"),
+              std::string::npos)
+        << stray.key << ": '" << why << "'";
+  }
+}
+
+// ---- seeded mutations of the request parser -----------------------------
+
+enum class Mutation { kDelete, kRename, kRetype, kTruncate };
+
+/// Rebuilds a document with one edit at slot `target` of a pre-order walk.
+/// The slots are the object members; for kRetype, array elements too.
+/// After a walk, `seen` holds the number of slots it passed.
+struct Mutator {
+  Mutator(Mutation k, std::size_t t, std::mt19937_64& r)
+      : kind(k), target(t), rng(r) {}
+
+  Mutation kind;
+  std::size_t target;
+  std::mt19937_64& rng;
+  std::size_t seen = 0;
+
+  /// A value of another JSON type than `v`.
+  Json retyped(const Json& v) {
+    const Json choices[] = {Json(), Json(true), Json(7), Json("x"),
+                            Json::array(), Json::object()};
+    for (std::size_t k = rng();; ++k)
+      if (choices[k % 6].type() != v.type()) return choices[k % 6];
+  }
+
+  /// A one-letter typo of `key` that `object` does not hold.
+  std::string renamed(const std::string& key, const Json& object) {
+    std::string name = key;
+    while (object.find(name) != nullptr)
+      name[rng() % name.size()] = char('a' + rng() % 26);
+    return name;
+  }
+
+  Json operator()(const Json& j) {
+    if (j.is_array()) {
+      Json out = Json::array();
+      for (const Json& e : j.as_array())
+        out.push_back(kind == Mutation::kRetype && seen++ == target
+                          ? retyped(e)
+                          : (*this)(e));
+      return out;
+    }
+    if (!j.is_object()) return j;
+    Json out = Json::object();
+    for (const auto& [key, value] : j.as_object()) {
+      if (seen++ != target) out.set(key, (*this)(value));
+      else if (kind == Mutation::kRename) out.set(renamed(key, j), value);
+      else if (kind == Mutation::kRetype) out.set(key, retyped(value));
+    }
+    return out;
+  }
+};
+
+TEST_F(SweepRequestTest, SeededMutationsThrowOrRoundTrip) {
+  // A ground-truth adaptive validation request, and an offload search
+  // with its inline base scenario and every execution field set.
+  testbed::SweepConfig cfg;
+  cfg.frames_per_point = 40;
+  AdaptiveSpec adaptive;
+  adaptive.coarse_frames = 8;
+  const SweepRequest gt = testbed::adaptive_validation_request(
+      core::InferencePlacement::kRemote, cfg, adaptive);
+  SweepRequest search =
+      core::offload_search_request(core::make_remote_scenario(500, 2.0));
+  ASSERT_TRUE(search.grid.scenario.has_value());
+  search.execution.threads = 3;
+  search.execution.chunk_records = 16;
+  search.execution.grain = 5;
+  search.execution.metrics = true;
+
+  std::size_t mutants = 0, parsed = 0;
+  std::uint64_t seed = 0x5EED0000u;
+  for (const SweepRequest& request : {gt, search}) {
+    const std::string text = request.to_json().dump();
+    const Json doc = Json::parse(text);
+    for (const Mutation kind : {Mutation::kDelete, Mutation::kRename,
+                                Mutation::kRetype, Mutation::kTruncate}) {
+      std::mt19937_64 rng(seed++);
+      Mutator census(kind, std::size_t(-1), rng);
+      (void)census(doc);
+      for (int n = 0; n < 260; ++n, ++mutants) {
+        Mutator edit(kind, rng() % census.seen, rng);
+        const std::string mutant = kind == Mutation::kTruncate
+                                       ? text.substr(0, rng() % text.size())
+                                       : edit(doc).dump();
+        SCOPED_TRACE(mutant);
+        std::string once;
+        try {
+          once = SweepRequest::from_json(Json::parse(mutant)).to_json().dump();
+        } catch (const std::invalid_argument&) {
+          continue;
+        }
+        // A rename leaves a key no block knows, or drops a required one.
+        EXPECT_TRUE(kind != Mutation::kRename) << "a renamed key parsed";
+        EXPECT_EQ(SweepRequest::from_json(Json::parse(once)).to_json().dump(),
+                  once);
+        ++parsed;
+      }
+    }
+  }
+  EXPECT_GE(mutants, 2000u);
+  EXPECT_GT(parsed, 0u);  // some deletions and retypes leave valid requests
 }
 
 TEST_F(SweepRequestTest, RunRequestMatchesBatchEvaluatorBitwise) {

@@ -11,8 +11,15 @@
 //   # plan's canonical JSON — the reference the sharded path must match
 //   $ sweep_plan --request request.json --plan-out mono.plan.json
 //
-//   # emit the Fig. 4 ground-truth validation sweep as an
-//   # adaptive-fidelity request (coarse pass + boundary refinement)
+//   # emit the testbed ablation grid (analytical model, summary
+//   # reduction) — the preset scripts/sweep_sharded.sh shards
+//   $ sweep_plan --emit-ablation-request > ablation.json
+//
+//   # emit the Fig. 4 ground-truth validation sweep; --coarse-frames makes
+//   # it an adaptive-fidelity request (runtime/adaptive.h), and --band
+//   # sets its refinement band around the argmin
+//   $ sweep_plan --emit-validation-request remote --gt-seed 42
+//                --gt-frames 200 > gt.json
 //   $ sweep_plan --emit-validation-request remote --gt-seed 42
 //                --gt-frames 200 --coarse-frames 20 --band 0.05 > adaptive.json
 //
@@ -26,15 +33,16 @@
 //   $ sweep_plan --request adaptive.json --refine-out refine.json
 //                out/c0.xrb out/c1.xrb out/c2.xrb
 //
-// The sharded offload counterpart is `sweep_worker --request` per shard +
-// `sweep_merge --request ... --plan-out`; scripts/sweep_offload_plan.sh
-// asserts both plans are byte-identical (incl. a kill/resume leg), and
+// Every emitted request runs sharded as `sweep_worker --request` per shard
+// + `sweep_merge`; scripts/sweep_offload_plan.sh asserts the sharded and
+// monolithic plans are byte-identical (incl. a kill/resume leg), and
 // scripts/sweep_adaptive.sh asserts the adaptive two-pass law.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,9 +60,10 @@ void usage() {
       stderr,
       "usage: sweep_plan --emit-request [--scenario FILE] [--space FILE]\n"
       "                  [--alpha A]\n"
+      "       sweep_plan --emit-ablation-request\n"
       "       sweep_plan --emit-validation-request local|remote\n"
-      "                  [--gt-seed N] [--gt-frames N] [--coarse-frames N]\n"
-      "                  [--band F]\n"
+      "                  [--gt-seed N] [--gt-frames N]\n"
+      "                  [--coarse-frames N [--band F]]\n"
       "       sweep_plan --request FILE [--plan-out FILE]\n"
       "       sweep_plan --request FILE --summary-out FILE\n"
       "       sweep_plan --request FILE --refine-out FILE COARSE.xrb...\n");
@@ -92,15 +101,16 @@ void write_file(const std::string& path, const std::string& text) {
 int main(int argc, char** argv) {
   using namespace xr::core;
   try {
-    bool emit = false;
+    bool emit = false, emit_ablation = false;
     std::string validation_placement;
     std::string scenario_path, space_path, request_path;
     std::string plan_out_path, summary_out_path, refine_out_path;
     std::vector<std::string> record_paths;
     double alpha = 0.5;
     std::uint64_t gt_seed = 42;
-    std::size_t gt_frames = 200, coarse_frames = 20;
-    double band = 0.05;
+    std::size_t gt_frames = 200;
+    std::optional<std::size_t> coarse_frames;
+    std::optional<double> band;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       const auto value = [&]() -> std::string {
@@ -109,6 +119,7 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "--emit-request") emit = true;
+      else if (arg == "--emit-ablation-request") emit_ablation = true;
       else if (arg == "--emit-validation-request")
         validation_placement = value();
       else if (arg == "--scenario") scenario_path = value();
@@ -136,7 +147,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    const int modes = int(emit) + int(!validation_placement.empty()) +
+    const int modes = int(emit) + int(emit_ablation) +
+                      int(!validation_placement.empty()) +
                       int(!request_path.empty());
     if (modes != 1) {  // exactly one mode
       usage();
@@ -171,6 +183,13 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    if (emit_ablation) {
+      xr::runtime::SweepRequest request;
+      request.grid = xr::testbed::ablation_grid_spec();
+      std::printf("%s\n", request.to_json().dump().c_str());
+      return 0;
+    }
+
     if (!validation_placement.empty()) {
       const auto placement =
           validation_placement == "local"
@@ -180,14 +199,24 @@ int main(int argc, char** argv) {
                      : throw std::runtime_error(
                            "bad placement '" + validation_placement +
                            "' (expected local or remote)"));
+      if (band && !coarse_frames)
+        throw std::runtime_error(
+            "--band sets the adaptive refinement band; it needs "
+            "--coarse-frames");
       xr::testbed::SweepConfig cfg;
       cfg.seed = gt_seed;
       cfg.frames_per_point = gt_frames;
-      xr::runtime::AdaptiveSpec adaptive;
-      adaptive.coarse_frames = coarse_frames;
-      adaptive.band_fraction = band;
-      const auto request =
-          xr::testbed::adaptive_validation_request(placement, cfg, adaptive);
+      xr::runtime::SweepRequest request;
+      if (coarse_frames) {
+        xr::runtime::AdaptiveSpec adaptive;
+        adaptive.coarse_frames = *coarse_frames;
+        if (band) adaptive.band_fraction = *band;
+        request =
+            xr::testbed::adaptive_validation_request(placement, cfg, adaptive);
+      } else {
+        request.grid = xr::testbed::validation_grid_spec(placement, cfg);
+        request.evaluator = xr::testbed::gt_evaluator_spec(cfg);
+      }
       std::printf("%s\n", request.to_json().dump().c_str());
       return 0;
     }

@@ -1,4 +1,4 @@
-// sweep_worker — evaluate one shard of a scenario grid, streaming results.
+// sweep_worker — evaluate one shard of a sweep request, streaming results.
 //
 // One process per shard; each writes a record stream of index-tagged
 // PerformanceReport records — <out>.xrb, the columnar encoding of
@@ -7,17 +7,24 @@
 // <out>.xrb` prints the records as JSON lines. scripts/sweep_sharded.sh
 // drives the whole flow.
 //
+// The one input document is a runtime::SweepRequest (--request): grid,
+// evaluator, and execution mechanics all come from it. sweep_plan emits
+// the presets (--emit-ablation-request, --emit-validation-request,
+// --emit-request); the flags pick this process's shard and may override
+// the two per-process mechanics, --chunk and --threads, which never
+// change a record.
+//
 //   # shard 1 of 3 of the testbed ablation grid
-//   $ sweep_worker --ablation-grid --shard-id 1 --shard-count 3
+//   $ sweep_plan --emit-ablation-request > ablation.json
+//   $ sweep_worker --request ablation.json --shard-id 1 --shard-count 3
 //                  --out out/shard1
 //
-//   # same, from a spec document
-//   $ sweep_worker --spec shard1.json
-//
-//   # shard 0 of 3 of a unified sweep request (runtime::SweepRequest):
-//   # grid, evaluator, and execution mechanics all come from the document
-//   $ sweep_worker --request request.json --shard-id 0 --shard-count 3
-//                  --out out/req0
+//   # shard the Fig. 4(b) ground-truth validation sweep: every point runs
+//   # the testbed-substitute simulator, seeded from its global grid index
+//   $ sweep_plan --emit-validation-request remote --gt-frames 200
+//                --gt-seed 42 > gt.json
+//   $ sweep_worker --request gt.json --shard-id 0 --shard-count 4
+//                  --strategy strided --out out/gt0
 //
 //   # adaptive-fidelity request (runtime/adaptive.h), sharded: run the
 //   # coarse leg, derive the refinement set once (sweep_plan --refine-out
@@ -36,16 +43,6 @@
 //   $ sweep_worker --request adaptive.json --pass fine --refine-all
 //                  --shard-id 0 --shard-count 1 --out out/full
 //
-//   # shard the Fig. 4(b) ground-truth validation sweep: every point runs
-//   # the testbed-substitute simulator, seeded from its global grid index
-//   $ sweep_worker --validation-grid remote --evaluator ground_truth
-//                  --gt-frames 200 --gt-seed 42
-//                  --shard-id 0 --shard-count 4 --out out/gt0
-//
-//   # print a grid spec for editing / scripting
-//   $ sweep_worker --emit-ablation-grid > grid.json
-//   $ sweep_worker --grid grid.json --shard-id 0 --shard-count 4 --out s0
-//
 // --resume continues a killed run from its last flushed chunk;
 // --max-records N stops after N new records (kill/resume demo / testing).
 //
@@ -59,46 +56,30 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "obs/snapshot.h"
 #include "runtime/service/worker_loop.h"
 #include "runtime/shard/worker.h"
-#include "testbed/experiments.h"
 
 namespace {
 
 void usage() {
   std::fprintf(
       stderr,
-      "usage: sweep_worker --spec FILE [--resume] [--max-records N]\n"
-      "       sweep_worker (--request FILE | --grid FILE | --ablation-grid "
-      "|\n"
-      "                     --validation-grid local|remote) --shard-id N\n"
-      "                    --shard-count K --out STEM [--strategy "
-      "range|strided]\n"
-      "                    [--evaluator analytical|ground_truth]\n"
-      "                    [--gt-seed N] [--gt-frames N] [--metrics]\n"
+      "usage: sweep_worker --request FILE --shard-id N --out STEM\n"
+      "                    [--shard-count K] [--strategy range|strided]\n"
+      "                    [--chunk N] [--threads N] [--resume] "
+      "[--max-records N]\n"
       "                    [--pass coarse|fine] [--refine FILE | "
       "--refine-all]\n"
-      "                    [--coarse STEM]\n"
-      "                    [--chunk N] [--threads N] [--grain N] [--resume] "
-      "[--max-records N]\n"
-      "                    [--metrics-out FILE]\n"
+      "                    [--coarse STEM] [--metrics-out FILE]\n"
       "       sweep_worker --serve --mail DIR --name NAME\n"
       "                    [--slice-records N] [--heartbeat-ms N] [--poll-ms "
       "N]\n"
       "                    [--idle-timeout-ms N] [--crash-after-slices N]\n"
-      "                    [--slice-delay-ms N]\n"
-      "       sweep_worker --emit-ablation-grid\n"
-      "       sweep_worker --emit-validation-grid local|remote\n");
-}
-
-xr::core::InferencePlacement placement_of(const std::string& name) {
-  if (name == "local") return xr::core::InferencePlacement::kLocal;
-  if (name == "remote") return xr::core::InferencePlacement::kRemote;
-  throw std::runtime_error("bad placement '" + name +
-                           "' (expected local or remote)");
+      "                    [--slice-delay-ms N]\n");
 }
 
 /// Strict non-negative integer: trailing garbage is a usage error, not a
@@ -177,44 +158,14 @@ int serve_main(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   using namespace xr::runtime::shard;
-  using xr::runtime::GridSpec;
   try {
     for (int i = 1; i < argc; ++i)
       if (std::strcmp(argv[i], "--serve") == 0) return serve_main(argc, argv);
-    WorkerSpec spec;
-    bool have_spec = false, have_grid = false;
-    bool have_shard_id = false, have_out = false;
-    std::size_t max_records = 0;
-    std::string refine_path;
-    std::string metrics_out;
-    bool refine_all = false;
-
-    // Two passes so flag order never matters: the spec/request document
-    // loads first, then every explicit flag overrides it (--resume
-    // alongside --spec must never be silently dropped — it guards a
-    // flushed prefix).
-    bool have_request = false;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--spec") == 0) {
-        if (i + 1 >= argc) throw std::runtime_error("missing value for --spec");
-        spec = WorkerSpec::from_json(Json::parse(read_text_file(argv[i + 1])));
-        have_spec = have_grid = have_shard_id = have_out = true;
-      } else if (std::strcmp(argv[i], "--request") == 0) {
-        if (i + 1 >= argc)
-          throw std::runtime_error("missing value for --request");
-        const auto request = xr::runtime::SweepRequest::from_json(
-            Json::parse(read_text_file(argv[i + 1])));
-        spec = WorkerSpec::from_request(request, /*shard_id=*/0,
-                                        /*shard_count=*/1,
-                                        ShardStrategy::kRange, /*output=*/"");
-        have_request = have_grid = true;
-      }
-    }
-    // Whole-document flags are exclusive: whichever came later would
-    // silently clobber the other's entire spec.
-    if (have_spec && have_request)
-      throw std::runtime_error("--spec and --request are mutually exclusive");
-
+    std::string request_path, out, refine_path, coarse, metrics_out;
+    std::optional<std::size_t> shard_id, chunk, threads;
+    std::size_t shard_count = 1, pass = 0, max_records = 0;
+    ShardStrategy strategy = ShardStrategy::kRange;
+    bool resume = false, refine_all = false;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       const auto value = [&]() -> std::string {
@@ -222,38 +173,24 @@ int main(int argc, char** argv) {
           throw std::runtime_error("missing value for " + arg);
         return argv[++i];
       };
-      if (arg == "--spec" || arg == "--request") {
-        (void)value();  // consumed by the first pass
-      } else if (arg == "--grid") {
-        spec.grid = GridSpec::from_json(Json::parse(read_text_file(value())));
-        have_grid = true;
-      } else if (arg == "--ablation-grid") {
-        spec.grid = xr::testbed::ablation_grid_spec();
-        have_grid = true;
-      } else if (arg == "--validation-grid") {
-        spec.grid = xr::testbed::validation_grid_spec(placement_of(value()));
-        have_grid = true;
-      } else if (arg == "--emit-ablation-grid") {
-        std::printf("%s\n",
-                    xr::testbed::ablation_grid_spec().to_json().dump().c_str());
-        return 0;
-      } else if (arg == "--emit-validation-grid") {
-        std::printf("%s\n", xr::testbed::validation_grid_spec(
-                                placement_of(value()))
-                                .to_json()
-                                .dump()
-                                .c_str());
-        return 0;
-      } else if (arg == "--evaluator") {
-        spec.evaluator.kind = evaluator_from_name(value());
-      } else if (arg == "--gt-seed") {
-        spec.evaluator.seed = parse_size(arg, value());
-      } else if (arg == "--gt-frames") {
-        spec.evaluator.frames_per_point = parse_size(arg, value());
+      if (arg == "--request") {
+        request_path = value();
+      } else if (arg == "--shard-id") {
+        shard_id = parse_size(arg, value());
+      } else if (arg == "--shard-count") {
+        shard_count = parse_size(arg, value());
+      } else if (arg == "--strategy") {
+        strategy = strategy_from_name(value());
+      } else if (arg == "--out") {
+        out = value();
+      } else if (arg == "--chunk") {
+        chunk = parse_size(arg, value());
+      } else if (arg == "--threads") {
+        threads = parse_size(arg, value());
       } else if (arg == "--pass") {
         const std::string leg = value();
-        if (leg == "coarse") spec.adaptive_pass = 1;
-        else if (leg == "fine") spec.adaptive_pass = 2;
+        if (leg == "coarse") pass = 1;
+        else if (leg == "fine") pass = 2;
         else
           throw std::runtime_error("bad value for --pass: '" + leg +
                                    "' (expected coarse or fine)");
@@ -262,27 +199,9 @@ int main(int argc, char** argv) {
       } else if (arg == "--refine-all") {
         refine_all = true;
       } else if (arg == "--coarse") {
-        spec.coarse_input = value();
-      } else if (arg == "--shard-id") {
-        spec.shard_id = parse_size(arg, value());
-        have_shard_id = true;
-      } else if (arg == "--shard-count") {
-        spec.shard_count = parse_size(arg, value());
-      } else if (arg == "--strategy") {
-        spec.strategy = strategy_from_name(value());
-      } else if (arg == "--out") {
-        spec.output = value();
-        have_out = true;
-      } else if (arg == "--chunk") {
-        spec.chunk_records = parse_size(arg, value());
-      } else if (arg == "--threads") {
-        spec.threads = parse_size(arg, value());
-      } else if (arg == "--grain") {
-        spec.grain = parse_size(arg, value());
-      } else if (arg == "--metrics") {
-        spec.metrics = true;
+        coarse = value();
       } else if (arg == "--resume") {
-        spec.resume = true;
+        resume = true;
       } else if (arg == "--max-records") {
         max_records = parse_size(arg, value());
       } else if (arg == "--metrics-out") {
@@ -297,10 +216,21 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (!have_grid || !have_out || (!have_spec && !have_shard_id)) {
+    if (request_path.empty() || !shard_id || out.empty()) {
       usage();
       return 2;
     }
+
+    // The request fixes what runs; the flags pick this process's shard and
+    // its mechanics (chunk cadence, threads), which never change a record.
+    const auto request = xr::runtime::SweepRequest::from_json(
+        Json::parse(read_text_file(request_path)));
+    WorkerSpec spec = WorkerSpec::from_request(request, *shard_id, shard_count,
+                                               strategy, out, resume);
+    if (chunk) spec.chunk_records = *chunk;
+    if (threads) spec.threads = *threads;
+    spec.adaptive_pass = pass;
+    spec.coarse_input = coarse;
 
     if (!refine_path.empty() && refine_all)
       throw std::runtime_error(
@@ -312,8 +242,7 @@ int main(int argc, char** argv) {
       const auto set = xr::runtime::RefinementSet::from_json(
           Json::parse(read_text_file(refine_path)));
       // The set must have been derived from THIS request's coarse pass.
-      if (set.fingerprint != xr::runtime::adaptive_fingerprint(
-                                 spec.grid, spec.evaluator, *spec.adaptive))
+      if (set.fingerprint != request.fingerprint())
         throw std::runtime_error(
             refine_path +
             " was derived for a different adaptive sweep (fingerprint "
