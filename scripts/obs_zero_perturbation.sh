@@ -11,14 +11,18 @@
 # -ffp-contract=off). It runs the same workloads in both builds, with no
 # fault schedule loaded, and diffs every artifact that carries results:
 #
-#   1. a 2-shard ablation sweep and the local and remote Fig. 4
-#      ground-truth validation sweeps (200 frames, 4 threads), each run
-#      from the request its tree's sweep_plan emits: the .xrb
-#      record streams must be byte-identical, and the merged summaries
-#      bitwise equivalent (sweep_merge --check). The default tree runs
-#      these once more under
-#      GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA — the libm variants a
-#      host without FMA would pick — and those streams must match too;
+#   1. a 2-shard ablation sweep, the local and remote Fig. 4
+#      ground-truth validation sweeps (200 frames, 4 threads), and the
+#      default offload search (alpha 0.5) planned by `sweep_plan --request
+#      --plan-out`, each run from the request its tree's sweep_plan emits:
+#      the .xrb record streams and plan.json must be byte-identical, and
+#      the merged summaries bitwise equivalent (sweep_merge --check). The
+#      streams carry only totals and GT columns; the plan's decisions
+#      carry full reports, sensors included, so plan.json keeps every
+#      per-segment bit under the gate. The default tree runs these once
+#      more under GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA — the libm
+#      variants a host without FMA would pick — and those outputs must
+#      match too;
 #   2. a plan-index build + serves across all three tiers (exact / snap /
 #      computed): index.json and every serve's stdout must be
 #      byte-identical;
@@ -76,7 +80,7 @@ if [[ -d /dev/shm && -w /dev/shm ]]; then TMP_ROOT=/dev/shm; fi
 OUT="$(mktemp -d "$TMP_ROOT/obs_zero.XXXXXX")"
 trap 'rm -rf "$OUT"' EXIT
 
-SWEEP_STREAMS=(s0.xrb s1.xrb gt_local.xrb gt_remote.xrb)
+SWEEP_OUTPUTS=(s0.xrb s1.xrb gt_local.xrb gt_remote.xrb plan.json)
 run_sweep() {  # $1 = bindir, $2 = outdir
   local bin="$1" out="$2"
   mkdir -p "$out"
@@ -98,6 +102,9 @@ run_sweep() {  # $1 = bindir, $2 = outdir
                         --threads 4 --shard-id 0 --shard-count 1 \
                         --out "$out/gt_$placement" >/dev/null
   done
+  "$bin/sweep_plan" --emit-request --alpha 0.5 > "$out/plan.request.json"
+  "$bin/sweep_plan" --request "$out/plan.request.json" \
+                    --plan-out "$out/plan.json" >/dev/null
 }
 
 run_index() {  # $1 = bindir, $2 = outdir
@@ -119,11 +126,11 @@ run_index() {  # $1 = bindir, $2 = outdir
 }
 
 echo
-echo "== workload A: ablation + GT sweeps, default vs stubs vs libm without FMA =="
+echo "== workload A: ablation + GT sweeps + offload plan, default vs stubs vs libm without FMA =="
 run_sweep "$BUILD_DIR" "$OUT/on"
 run_sweep "$OFF_DIR" "$OUT/off"
 GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA run_sweep "$BUILD_DIR" "$OUT/nofma"
-for f in "${SWEEP_STREAMS[@]}"; do
+for f in "${SWEEP_OUTPUTS[@]}"; do
   cmp "$OUT/on/$f" "$OUT/off/$f" \
     || { echo "obs_zero_perturbation.sh: $f differs between builds" >&2; exit 1; }
   cmp "$OUT/on/$f" "$OUT/nofma/$f" \

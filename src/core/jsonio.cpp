@@ -106,17 +106,17 @@ const Json* Json::find(std::string_view key) const noexcept {
   return nullptr;
 }
 
-Json& Json::set(std::string key, Json value) {
+bool Json::set(std::string key, Json value) {
   if (type_ == Type::kNull) type_ = Type::kObject;
   if (type_ != Type::kObject)
     throw std::invalid_argument("Json: set() on non-object");
   for (auto& [k, v] : object_)
     if (k == key) {
       v = std::move(value);
-      return *this;
+      return true;
     }
   object_.emplace_back(std::move(key), std::move(value));
-  return *this;
+  return false;
 }
 
 Json& Json::push_back(Json value) {
@@ -206,7 +206,7 @@ class Parser {
   }
 
  private:
-  [[noreturn]] void fail(const char* what) const {
+  [[noreturn]] void fail(std::string_view what) const {
     throw std::invalid_argument("Json::parse: " + std::string(what) +
                                 " at offset " + std::to_string(pos_));
   }
@@ -352,7 +352,7 @@ class Parser {
       std::string key = string();
       skip_ws();
       expect(':');
-      out.set(std::move(key), value());
+      if (out.set(key, value())) fail("duplicate key '" + key + "'");
       skip_ws();
       const char c = peek();
       ++pos_;

@@ -96,7 +96,9 @@ class Json {
   /// Member lookup; nullptr when missing (or not an object).
   [[nodiscard]] const Json* find(std::string_view key) const noexcept;
   /// Append-or-replace a member (value becomes an object if null).
-  Json& set(std::string key, Json value);
+  /// Returns true when it replaced one — the parser's duplicate-key check
+  /// rides on this one scan.
+  bool set(std::string key, Json value);
 
   // ---- array helpers ---------------------------------------------------
   /// Append an element (value becomes an array if null).
@@ -106,7 +108,8 @@ class Json {
   [[nodiscard]] std::string dump() const;
 
   /// Parse one JSON document (the whole input, surrounding whitespace
-  /// allowed). Throws std::invalid_argument with position info on error.
+  /// allowed). Throws std::invalid_argument with position info on error,
+  /// a key repeated within one object included.
   [[nodiscard]] static Json parse(std::string_view text);
 
  private:

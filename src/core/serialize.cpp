@@ -261,6 +261,8 @@ ScenarioConfig scenario_from_json(const Json& j) {
 
 // ---- performance report breakdowns -------------------------------------
 
+namespace {
+
 Json to_json(const LatencyBreakdown& l) {
   Json j = Json::object();
   j.set("frame_generation", l.frame_generation);
@@ -338,6 +340,7 @@ EnergyBreakdown energy_breakdown_from_json(const Json& j) {
   e.total = j.at("total").as_double();
   return e;
 }
+
 Json to_json(const std::vector<SensorReport>& sensors) {
   Json arr = Json::array();
   for (const auto& s : sensors) {
@@ -365,6 +368,8 @@ std::vector<SensorReport> sensors_from_json(const Json& j) {
   }
   return out;
 }
+
+}  // namespace
 
 Json to_json(const PerformanceReport& report) {
   Json j = Json::object();

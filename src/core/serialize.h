@@ -32,16 +32,6 @@ namespace xr::core {
 [[nodiscard]] Json to_json(const PerformanceReport& report);
 [[nodiscard]] PerformanceReport report_from_json(const Json& j);
 
-/// Breakdown-level codecs — the report codec is built from these, and the
-/// shard layer's record_line writes them directly (one line per grid
-/// point; no intermediate report document to copy from).
-[[nodiscard]] Json to_json(const LatencyBreakdown& l);
-[[nodiscard]] LatencyBreakdown latency_breakdown_from_json(const Json& j);
-[[nodiscard]] Json to_json(const EnergyBreakdown& e);
-[[nodiscard]] EnergyBreakdown energy_breakdown_from_json(const Json& j);
-[[nodiscard]] Json to_json(const std::vector<SensorReport>& sensors);
-[[nodiscard]] std::vector<SensorReport> sensors_from_json(const Json& j);
-
 /// Serialize a codec operating point (the Eq. 10 regressors), bitwise
 /// round-trippable; also embedded in scenario and offload-plan documents.
 [[nodiscard]] Json to_json(const devices::H264Config& codec);

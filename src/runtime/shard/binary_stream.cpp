@@ -23,9 +23,11 @@ namespace {
 constexpr std::uint64_t kFileMagic = 0x0A3143455242'5258ull;   // "XRBREC1\n"
 constexpr std::uint64_t kChunkMagic = 0x314B4E4843'425258ull;  // "XRBCHNK1"
 
-constexpr std::uint64_t kFlagMetricsOnly = 1ull << 0;
+/// Set on every stream this build writes; clear on an older build's
+/// full-breakdown stream, which no reader accepts.
+constexpr std::uint64_t kFlagTotals = 1ull << 0;
 constexpr std::uint64_t kFlagGroundTruth = 1ull << 1;
-constexpr std::uint64_t kKnownFlags = kFlagMetricsOnly | kFlagGroundTruth;
+constexpr std::uint64_t kKnownFlags = kFlagTotals | kFlagGroundTruth;
 
 std::uint64_t fnv1a_bytes(const unsigned char* data, std::size_t n) {
   std::uint64_t h = 1469598103934665603ull;
@@ -75,16 +77,7 @@ struct Cursor {
     p += 8;
     return v;
   }
-  void take_bytes(char* dst, std::size_t n) {
-    if (static_cast<std::size_t>(end - p) < n)
-      throw std::runtime_error("binary record stream: corrupt chunk in " +
-                               path + " (column block overruns payload)");
-    if (dst) std::memcpy(dst, p, n);
-    p += n;
-  }
 };
-
-std::size_t padded8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
 std::uint64_t strategy_code(ShardStrategy s) {
   return s == ShardStrategy::kStrided ? 1 : 0;
@@ -100,14 +93,12 @@ ShardStrategy strategy_from_code(std::uint64_t code,
 
 // ---- file header -------------------------------------------------------
 
-std::string encode_header(const ShardIdentity& id, bool ground_truth,
-                          bool metrics_only) {
+std::string encode_header(const ShardIdentity& id, bool ground_truth) {
   std::string out;
   out.reserve(kBinaryFileHeaderBytes);
   put_u64(out, kFileMagic);
   put_u64(out, kBinaryVersion);
-  put_u64(out, (metrics_only ? kFlagMetricsOnly : 0) |
-                   (ground_truth ? kFlagGroundTruth : 0));
+  put_u64(out, kFlagTotals | (ground_truth ? kFlagGroundTruth : 0));
   put_u64(out, id.shard_id);
   put_u64(out, id.shard_count);
   put_u64(out, strategy_code(id.strategy));
@@ -132,8 +123,13 @@ BinaryHeaderInfo decode_header(const unsigned char* raw,
   if (flags & ~kKnownFlags)
     throw std::runtime_error("binary record stream: " + path +
                              " header carries unknown shape flags");
+  if (!(flags & kFlagTotals))
+    throw std::runtime_error(
+        "binary record stream: " + path +
+        " is a full-breakdown stream from an older build; this build reads "
+        "only totals streams — rerun its shard without resume to rewrite "
+        "it");
   BinaryHeaderInfo info;
-  info.metrics_only = (flags & kFlagMetricsOnly) != 0;
   info.ground_truth = (flags & kFlagGroundTruth) != 0;
   info.id.shard_id = c.take_u64();
   info.id.shard_count = c.take_u64();
@@ -165,94 +161,27 @@ struct ChunkHeader {
 };
 
 /// The chunk header is outside the checksum: refuse a record_count the
-/// payload cannot hold before anything is sized from it. Every record
-/// takes at least its fixed columns (full shape: index, 13 latency and 14
-/// energy columns, flags, sensor count; plus the total_sensors word).
+/// payload cannot hold, or does not exactly fill, before anything is sized
+/// from it. Every record takes the same fixed columns.
 void check_record_count(std::uint64_t m, std::size_t payload_bytes,
-                        bool ground_truth, bool metrics_only,
-                        const std::string& path) {
-  const std::size_t per_record =
-      8 * ((metrics_only ? 3 : 30) + (ground_truth ? 6 : 0));
-  const std::size_t fixed = metrics_only ? 0 : 8;
-  if (payload_bytes < fixed || m > (payload_bytes - fixed) / per_record)
+                        bool ground_truth, const std::string& path) {
+  const std::size_t per_record = 8 * (ground_truth ? 9 : 3);
+  if (m > payload_bytes / per_record)
     throw std::runtime_error(
         "binary record stream: corrupt chunk in " + path + " (record count " +
         std::to_string(m) + " exceeds what its " +
         std::to_string(payload_bytes) + "-byte payload holds)");
+  if (m * per_record != payload_bytes)
+    throw std::runtime_error("binary record stream: corrupt chunk in " +
+                             path + " (trailing bytes after the columns)");
 }
 
-std::string encode_chunk_payload(
-    const std::vector<ParsedRecord>& records, bool ground_truth,
-    bool metrics_only) {
+std::string encode_chunk_payload(const std::vector<ParsedRecord>& records,
+                                 bool ground_truth) {
   std::string out;
   for (const ParsedRecord& r : records) put_u64(out, r.index);
-  if (metrics_only) {
-    for (const ParsedRecord& r : records)
-      put_f64(out, r.report.latency.total);
-    for (const ParsedRecord& r : records) put_f64(out, r.report.energy.total);
-  } else {
-    const auto lat_col = [&](double core::LatencyBreakdown::* field) {
-      for (const ParsedRecord& r : records) put_f64(out, r.report.latency.*field);
-    };
-    lat_col(&core::LatencyBreakdown::frame_generation);
-    lat_col(&core::LatencyBreakdown::volumetric);
-    lat_col(&core::LatencyBreakdown::external_sensors);
-    lat_col(&core::LatencyBreakdown::rendering);
-    lat_col(&core::LatencyBreakdown::buffer_wait);
-    lat_col(&core::LatencyBreakdown::frame_conversion);
-    lat_col(&core::LatencyBreakdown::encoding);
-    lat_col(&core::LatencyBreakdown::local_inference);
-    lat_col(&core::LatencyBreakdown::remote_inference);
-    lat_col(&core::LatencyBreakdown::transmission);
-    lat_col(&core::LatencyBreakdown::handoff);
-    lat_col(&core::LatencyBreakdown::cooperation);
-    lat_col(&core::LatencyBreakdown::total);
-    const auto en_col = [&](double core::EnergyBreakdown::* field) {
-      for (const ParsedRecord& r : records) put_f64(out, r.report.energy.*field);
-    };
-    en_col(&core::EnergyBreakdown::frame_generation);
-    en_col(&core::EnergyBreakdown::volumetric);
-    en_col(&core::EnergyBreakdown::external_sensors);
-    en_col(&core::EnergyBreakdown::rendering);
-    en_col(&core::EnergyBreakdown::frame_conversion);
-    en_col(&core::EnergyBreakdown::encoding);
-    en_col(&core::EnergyBreakdown::local_inference);
-    en_col(&core::EnergyBreakdown::remote_inference);
-    en_col(&core::EnergyBreakdown::transmission);
-    en_col(&core::EnergyBreakdown::handoff);
-    en_col(&core::EnergyBreakdown::cooperation);
-    en_col(&core::EnergyBreakdown::thermal);
-    en_col(&core::EnergyBreakdown::base);
-    en_col(&core::EnergyBreakdown::total);
-    for (const ParsedRecord& r : records)
-      put_u64(out, (r.report.latency.cooperation_in_total ? 1ull : 0) |
-                       (r.report.energy.cooperation_in_total ? 2ull : 0));
-    std::size_t total_sensors = 0;
-    for (const ParsedRecord& r : records)
-      total_sensors += r.report.sensors.size();
-    put_u64(out, total_sensors);
-    for (const ParsedRecord& r : records)
-      put_u64(out, r.report.sensors.size());
-    std::string names;
-    for (const ParsedRecord& r : records)
-      for (const core::SensorReport& s : r.report.sensors) {
-        put_u64(out, s.name.size());
-        names += s.name;
-      }
-    names.resize(padded8(names.size()), '\0');
-    out += names;
-    const auto sensor_col = [&](double core::SensorReport::* field) {
-      for (const ParsedRecord& r : records)
-        for (const core::SensorReport& s : r.report.sensors)
-          put_f64(out, s.*field);
-    };
-    sensor_col(&core::SensorReport::average_aoi_ms);
-    sensor_col(&core::SensorReport::processed_hz);
-    sensor_col(&core::SensorReport::roi);
-    for (const ParsedRecord& r : records)
-      for (const core::SensorReport& s : r.report.sensors)
-        put_u64(out, s.fresh ? 1 : 0);
-  }
+  for (const ParsedRecord& r : records) put_f64(out, r.latency_ms);
+  for (const ParsedRecord& r : records) put_f64(out, r.energy_mj);
   if (ground_truth) {
     for (const ParsedRecord& r : records) put_u64(out, r.gt->seed);
     for (const ParsedRecord& r : records) put_u64(out, r.gt->frames);
@@ -268,104 +197,13 @@ std::string encode_chunk_payload(
 
 std::vector<ParsedRecord> decode_chunk_payload(
     const std::vector<unsigned char>& payload, std::uint64_t m,
-    bool ground_truth, bool metrics_only, const std::string& path) {
-  check_record_count(m, payload.size(), ground_truth, metrics_only, path);
+    bool ground_truth, const std::string& path) {
+  check_record_count(m, payload.size(), ground_truth, path);
   std::vector<ParsedRecord> records(m);
   Cursor c{payload.data(), payload.data() + payload.size(), path};
   for (auto& r : records) r.index = c.take_u64();
-  if (metrics_only) {
-    for (auto& r : records) {
-      r.slim = true;
-      r.report.latency.total = c.take_f64();
-    }
-    for (auto& r : records) r.report.energy.total = c.take_f64();
-  } else {
-    const auto lat_col = [&](double core::LatencyBreakdown::* field) {
-      for (auto& r : records) r.report.latency.*field = c.take_f64();
-    };
-    lat_col(&core::LatencyBreakdown::frame_generation);
-    lat_col(&core::LatencyBreakdown::volumetric);
-    lat_col(&core::LatencyBreakdown::external_sensors);
-    lat_col(&core::LatencyBreakdown::rendering);
-    lat_col(&core::LatencyBreakdown::buffer_wait);
-    lat_col(&core::LatencyBreakdown::frame_conversion);
-    lat_col(&core::LatencyBreakdown::encoding);
-    lat_col(&core::LatencyBreakdown::local_inference);
-    lat_col(&core::LatencyBreakdown::remote_inference);
-    lat_col(&core::LatencyBreakdown::transmission);
-    lat_col(&core::LatencyBreakdown::handoff);
-    lat_col(&core::LatencyBreakdown::cooperation);
-    lat_col(&core::LatencyBreakdown::total);
-    const auto en_col = [&](double core::EnergyBreakdown::* field) {
-      for (auto& r : records) r.report.energy.*field = c.take_f64();
-    };
-    en_col(&core::EnergyBreakdown::frame_generation);
-    en_col(&core::EnergyBreakdown::volumetric);
-    en_col(&core::EnergyBreakdown::external_sensors);
-    en_col(&core::EnergyBreakdown::rendering);
-    en_col(&core::EnergyBreakdown::frame_conversion);
-    en_col(&core::EnergyBreakdown::encoding);
-    en_col(&core::EnergyBreakdown::local_inference);
-    en_col(&core::EnergyBreakdown::remote_inference);
-    en_col(&core::EnergyBreakdown::transmission);
-    en_col(&core::EnergyBreakdown::handoff);
-    en_col(&core::EnergyBreakdown::cooperation);
-    en_col(&core::EnergyBreakdown::thermal);
-    en_col(&core::EnergyBreakdown::base);
-    en_col(&core::EnergyBreakdown::total);
-    for (auto& r : records) {
-      const std::uint64_t flags = c.take_u64();
-      if (flags & ~3ull)
-        throw std::runtime_error(
-            "binary record stream: corrupt chunk in " + path +
-            " (unknown breakdown flags)");
-      r.report.latency.cooperation_in_total = (flags & 1ull) != 0;
-      r.report.energy.cooperation_in_total = (flags & 2ull) != 0;
-    }
-    const std::uint64_t total_sensors = c.take_u64();
-    if (total_sensors > payload.size() / 8)
-      throw std::runtime_error("binary record stream: corrupt chunk in " +
-                               path +
-                               " (sensor total exceeds the payload)");
-    std::uint64_t counted = 0;
-    for (auto& r : records) {
-      const std::uint64_t n = c.take_u64();
-      counted += n;
-      if (counted > total_sensors)
-        throw std::runtime_error(
-            "binary record stream: corrupt chunk in " + path +
-            " (sensor counts exceed the declared total)");
-      r.report.sensors.resize(n);
-    }
-    if (counted != total_sensors)
-      throw std::runtime_error("binary record stream: corrupt chunk in " +
-                               path +
-                               " (sensor counts disagree with the total)");
-    std::size_t names_bytes = 0;
-    for (auto& r : records)
-      for (auto& s : r.report.sensors) {
-        const std::uint64_t len = c.take_u64();
-        if (len > payload.size() - names_bytes)
-          throw std::runtime_error(
-              "binary record stream: corrupt chunk in " + path +
-              " (sensor names overrun payload)");
-        s.name.resize(len);
-        names_bytes += len;
-      }
-    for (auto& r : records)
-      for (auto& s : r.report.sensors)
-        if (!s.name.empty()) c.take_bytes(s.name.data(), s.name.size());
-    c.take_bytes(nullptr, padded8(names_bytes) - names_bytes);
-    const auto sensor_col = [&](double core::SensorReport::* field) {
-      for (auto& r : records)
-        for (auto& s : r.report.sensors) s.*field = c.take_f64();
-    };
-    sensor_col(&core::SensorReport::average_aoi_ms);
-    sensor_col(&core::SensorReport::processed_hz);
-    sensor_col(&core::SensorReport::roi);
-    for (auto& r : records)
-      for (auto& s : r.report.sensors) s.fresh = c.take_u64() != 0;
-  }
+  for (auto& r : records) r.latency_ms = c.take_f64();
+  for (auto& r : records) r.energy_mj = c.take_f64();
   if (ground_truth) {
     for (auto& r : records) r.gt.emplace();
     for (auto& r : records) r.gt->seed = c.take_u64();
@@ -375,9 +213,6 @@ std::vector<ParsedRecord> decode_chunk_payload(
     for (auto& r : records) r.gt->latency_error_pct = c.take_f64();
     for (auto& r : records) r.gt->energy_error_pct = c.take_f64();
   }
-  if (c.p != c.end)
-    throw std::runtime_error("binary record stream: corrupt chunk in " +
-                             path + " (trailing bytes after the columns)");
   return records;
 }
 
@@ -459,8 +294,7 @@ BinaryHeaderInfo open_strict(std::ifstream& in, const std::string& path) {
 RecordSink::RecordSink(const SinkOptions& options, const ShardIdentity& id,
                        const std::size_t* resume_valid_bytes)
     : path_(record_path(options.output_stem)),
-      ground_truth_(options.ground_truth),
-      metrics_only_(options.metrics_only) {
+      ground_truth_(options.ground_truth) {
   // A recovery below one full header means the stream never became
   // valid — rewrite it fresh, header included.
   if (resume_valid_bytes && *resume_valid_bytes >= kBinaryFileHeaderBytes) {
@@ -472,8 +306,7 @@ RecordSink::RecordSink(const SinkOptions& options, const ShardIdentity& id,
   } else {
     file_ = std::fopen(path_.c_str(), "wb");
     if (!file_) throw std::runtime_error("RecordSink: cannot open " + path_);
-    const std::string header =
-        encode_header(id, ground_truth_, metrics_only_);
+    const std::string header = encode_header(id, ground_truth_);
     if (std::fwrite(header.data(), 1, header.size(), file_) !=
             header.size() ||
         std::fflush(file_) != 0) {
@@ -493,15 +326,8 @@ void RecordSink::append(std::size_t global_index,
     throw std::invalid_argument(
         "RecordSink: ground-truth stream fed a record without a "
         "measurement");
-  ParsedRecord r;
-  r.index = global_index;
-  r.slim = metrics_only_;
-  if (metrics_only_) {
-    r.report.latency.total = report.latency.total;
-    r.report.energy.total = report.energy.total;
-  } else {
-    r.report = report;
-  }
+  ParsedRecord r{global_index, report.latency.total, report.energy.total,
+                 std::nullopt};
   if (gt) r.gt = *gt;
   pending_.push_back(std::move(r));
 }
@@ -509,8 +335,7 @@ void RecordSink::append(std::size_t global_index,
 std::size_t RecordSink::flush() {
   std::size_t bytes = 0;
   if (!pending_.empty()) {
-    const std::string payload =
-        encode_chunk_payload(pending_, ground_truth_, metrics_only_);
+    const std::string payload = encode_chunk_payload(pending_, ground_truth_);
     std::string frame;
     frame.reserve(kBinaryChunkHeaderBytes + payload.size());
     put_u64(frame, kChunkMagic);
@@ -546,8 +371,7 @@ bool RecordSource::next(ParsedRecord& out) {
                     payload))
       return false;
     decoded_ = decode_chunk_payload(payload, header.record_count,
-                                    info_.ground_truth, info_.metrics_only,
-                                    path_);
+                                    info_.ground_truth, path_);
     cursor_ = 0;
   }
   out = decoded_[cursor_++];
@@ -583,12 +407,10 @@ BinaryRecovery scan_binary_prefix(
         "binary record stream: " + path +
         " carries a different shard identity or sweep fingerprint than the "
         "resuming spec; refusing to resume");
-  // A shape mismatch means the stream belongs to a different run
-  // configuration of the same sweep, so resume rewrites it rather than
-  // mixing shapes.
-  if (header->ground_truth != options.ground_truth ||
-      header->metrics_only != options.metrics_only)
-    return BinaryRecovery{};
+  // A ground-truth flag that disagrees with the spec means the stream
+  // belongs to a different run configuration, so resume rewrites it rather
+  // than mixing shapes.
+  if (header->ground_truth != options.ground_truth) return BinaryRecovery{};
 
   const std::size_t shard_n = plan.shard_size(id.shard_id);
   const std::size_t full = std::max<std::size_t>(options.chunk_records, 1);
@@ -601,9 +423,8 @@ BinaryRecovery scan_binary_prefix(
                     payload)) {
     // Decode first: a byte-complete chunk whose count disagrees with its
     // payload is corruption, not an undersized tail to drop.
-    const std::vector<ParsedRecord> records =
-        decode_chunk_payload(payload, chunk.record_count,
-                             header->ground_truth, header->metrics_only, path);
+    const std::vector<ParsedRecord> records = decode_chunk_payload(
+        payload, chunk.record_count, header->ground_truth, path);
     // Chunk-grid acceptance keeps resumed files byte-identical to clean
     // runs: only full chunks count, plus an undersized final chunk that
     // completes the shard.
@@ -628,81 +449,10 @@ PartialReduction fold_binary_partial(const std::string& path) {
   ChunkHeader chunk;
   std::vector<unsigned char> payload;
   while (read_chunk(in, path, /*tolerate_tear=*/false, bytes_left, chunk,
-                    payload)) {
-    // Feed add() straight from the decoded columns — no PerformanceReport
-    // or sensor rehydration on the merge path.
-    check_record_count(chunk.record_count, payload.size(), header.ground_truth,
-                       header.metrics_only, path);
-    const std::size_t m = chunk.record_count;
-    const std::size_t col = m * 8;
-    const unsigned char* base = payload.data();
-    const auto u64_at = [&](std::size_t byte_offset, std::size_t i) {
-      std::uint64_t v;
-      if (byte_offset + (i + 1) * 8 > payload.size())
-        throw std::runtime_error("binary record stream: corrupt chunk in " +
-                                 path +
-                                 " (column block overruns payload)");
-      std::memcpy(&v, base + byte_offset + i * 8, 8);
-      return v;
-    };
-    const auto f64_at = [&](std::size_t byte_offset, std::size_t i) {
-      double v;
-      if (byte_offset + (i + 1) * 8 > payload.size())
-        throw std::runtime_error("binary record stream: corrupt chunk in " +
-                                 path +
-                                 " (column block overruns payload)");
-      std::memcpy(&v, base + byte_offset + i * 8, 8);
-      return v;
-    };
-    // Column offsets (bytes from payload start); see binary_stream.h.
-    std::size_t lat_total_off, en_total_off, gt_off;
-    if (header.metrics_only) {
-      lat_total_off = col;           // the single latency column
-      en_total_off = col + col;      // the single energy column
-      gt_off = 3 * col;
-    } else {
-      lat_total_off = col + 12 * col;       // 13th latency column
-      en_total_off = col + 13 * col + 13 * col;  // 14th energy column
-      // Skip breakdown_flags[m], then the sensor blocks sized by S.
-      const std::size_t flags_off = col + 13 * col + 14 * col;
-      const std::size_t s_off = flags_off + col;
-      const std::uint64_t S = u64_at(s_off, 0);
-      std::size_t names_bytes = 0;
-      const std::size_t name_len_off = s_off + 8 + col;
-      for (std::uint64_t k = 0; k < S; ++k) {
-        const std::uint64_t len = u64_at(name_len_off, k);
-        if (len > payload.size() - names_bytes)
-          throw std::runtime_error(
-              "binary record stream: corrupt chunk in " + path +
-              " (sensor names overrun payload)");
-        names_bytes += len;
-      }
-      gt_off = name_len_off + S * 8 + padded8(names_bytes) + 3 * S * 8 +
-               S * 8;
-    }
-    const std::size_t expected =
-        (header.metrics_only ? 3 * col : gt_off) +
-        (header.ground_truth ? 6 * col : 0);
-    if (payload.size() != expected)
-      throw std::runtime_error("binary record stream: corrupt chunk in " +
-                               path +
-                               " (payload size disagrees with its columns)");
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::size_t index = u64_at(0, i);
-      if (header.ground_truth) {
-        GtMeasurement gt;
-        gt.seed = u64_at(gt_off, i);
-        gt.frames = u64_at(gt_off + col, i);
-        gt.mean_latency_ms = f64_at(gt_off + 2 * col, i);
-        gt.mean_energy_mj = f64_at(gt_off + 3 * col, i);
-        gt.latency_error_pct = f64_at(gt_off + 4 * col, i);
-        gt.energy_error_pct = f64_at(gt_off + 5 * col, i);
-        partial.add(index, gt.mean_latency_ms, gt.mean_energy_mj, &gt);
-      } else {
-        partial.add(index, f64_at(lat_total_off, i), f64_at(en_total_off, i));
-      }
-    }
-  }
+                    payload))
+    for (const ParsedRecord& r : decode_chunk_payload(
+             payload, chunk.record_count, header.ground_truth, path))
+      partial.add(r);
   return partial;
 }
 

@@ -6,7 +6,8 @@
 //   file header (64 bytes)
 //     byte  0  magic   "XRBREC1\n"
 //     byte  8  u64 version            (kBinaryVersion = 1)
-//     byte 16  u64 shape flags        bit0 metrics_only, bit1 ground_truth
+//     byte 16  u64 shape flags        bit0 totals (always set),
+//                                     bit1 ground_truth
 //     byte 24  u64 shard_id
 //     byte 32  u64 shard_count
 //     byte 40  u64 strategy           (0 range, 1 strided)
@@ -21,22 +22,19 @@
 //     u64 payload_bytes
 //     u64 checksum                    FNV-1a over the payload bytes
 //
-//   chunk payload — column blocks, in order:
-//     u64    index[m]                 global grid indices, ascending
-//     metrics-only shape:
-//       f64  latency_total[m], f64 energy_total[m]
-//     full shape:
-//       f64  latency columns x13      (field order of LatencyBreakdown)
-//       f64  energy columns  x14      (field order of EnergyBreakdown)
-//       u64  breakdown_flags[m]       bit0/bit1 = cooperation_in_total
-//       u64  total_sensors S
-//       u64  sensor_count[m]          sensors per record, sum = S
-//       u64  name_len[S]; name bytes (concatenated, zero-padded to 8)
-//       f64  aoi_ms[S], f64 processed_hz[S], f64 roi[S]; u64 fresh[S]
+//   chunk payload — column blocks, in order (8 · m · 3 bytes, plus
+//   8 · m · 6 on ground-truth streams):
+//     u64  index[m]                   global grid indices, ascending
+//     f64  latency_total[m], f64 energy_total[m]
 //     ground-truth streams append:
 //       u64  seed[m], u64 frames[m]
 //       f64  mean_latency_ms[m], mean_energy_mj[m],
 //            latency_error_pct[m], energy_error_pct[m]
+//
+// Older builds could also write a full-breakdown shape (13 latency and 14
+// energy columns plus per-sensor tables) with header bit 0 clear. Every
+// reader — RecordSource, fold_binary_partial, and the resume scan, before
+// it truncates anything — refuses such a stream by name.
 //
 // Tear taxonomy. The chunk header sits outside the checksum, so every
 // reader checks it against the file and the payload before trusting it:
@@ -50,8 +48,8 @@
 //     included (record_count is checked before any record is built).
 //   * wrong file magic/version/shape flags, or a header identity or
 //     fingerprint that disagrees with the resuming spec — refused with a
-//     named error (a shape-flag mismatch against the spec instead makes
-//     resume rewrite the stream).
+//     named error (a ground-truth flag that disagrees with the spec
+//     instead makes resume rewrite the stream).
 //
 // Chunk grid. Resume keeps the byte-identity law: the scan accepts only
 // chunks of exactly chunk_records records (plus an undersized final chunk
@@ -84,12 +82,11 @@ inline constexpr std::size_t kBinaryChunkHeaderBytes = 32;
 struct BinaryHeaderInfo {
   ShardIdentity id;
   bool ground_truth = false;
-  bool metrics_only = false;
 };
 
 /// Read and validate a stream's file header. Throws std::runtime_error
-/// naming the failure on a missing/short file, wrong magic, or an
-/// unsupported version.
+/// naming the failure on a missing/short file, wrong magic, an
+/// unsupported version, or an older build's full-breakdown stream.
 [[nodiscard]] BinaryHeaderInfo read_binary_header(const std::string& path);
 
 /// Append side: encodes records into <options.output_stem>.xrb. append()
@@ -107,7 +104,8 @@ class RecordSink {
   RecordSink(const RecordSink&) = delete;
   RecordSink& operator=(const RecordSink&) = delete;
 
-  /// Buffer one record (`gt` non-null for ground-truth records).
+  /// Buffer one record — the report's totals, and `gt` (non-null for
+  /// ground-truth records).
   void append(std::size_t global_index, const core::PerformanceReport& report,
               const GtMeasurement* gt);
   /// Write buffered records as one chunk (no chunk when empty) and
@@ -118,7 +116,6 @@ class RecordSink {
  private:
   std::string path_;
   bool ground_truth_ = false;
-  bool metrics_only_ = false;
   std::FILE* file_ = nullptr;
   std::vector<ParsedRecord> pending_;
 };
@@ -154,9 +151,10 @@ struct BinaryRecovery {
 };
 
 /// Scan <options.output_stem>.xrb for resume: validates the header against
-/// `options`/`id` (mismatched identity/fingerprint/version are named
-/// errors; a shape-flag mismatch returns an empty recovery so resume
-/// rewrites), truncates torn tails silently, throws on corruption, and
+/// `options`/`id` (mismatched identity/fingerprint/version and a
+/// full-breakdown stream are named errors; a ground-truth flag mismatch
+/// returns an empty recovery so resume rewrites), truncates torn tails
+/// silently, throws on corruption, and
 /// applies the chunk-grid rule above. `fold` is called once per accepted
 /// record in order — the caller rebuilds its PartialReduction through it.
 /// A missing file is an empty recovery.
@@ -164,11 +162,11 @@ struct BinaryRecovery {
     const SinkOptions& options, const ShardIdentity& id, const ShardPlan& plan,
     const std::function<void(const ParsedRecord&)>& fold);
 
-/// Fold a COMPLETE stream straight into a PartialReduction without
-/// rehydrating rows: the identity comes from the file header and add() is
-/// fed directly from the column arrays (no PerformanceReport or sensor
-/// reconstruction). Throws named errors on any tear or corruption — merge
-/// inputs must be complete. This is the merge's record-operand path.
+/// Fold a COMPLETE stream into a PartialReduction: the identity comes from
+/// the file header, and every record, decoded by the same chunk decoder
+/// RecordSource uses, feeds add(). Throws named errors on any tear or
+/// corruption — merge inputs must be complete. This is the merge's
+/// record-operand path.
 [[nodiscard]] PartialReduction fold_binary_partial(const std::string& path);
 
 }  // namespace xr::runtime::shard

@@ -39,6 +39,13 @@ EvaluatorSpec EvaluatorSpec::from_json(const Json& j) {
   });
   EvaluatorSpec out;
   out.kind = evaluator_from_name(j.at("kind").as_string());
+  // to_json writes none of these for an analytical evaluator; one here
+  // would be dropped silently.
+  if (out.kind == EvaluatorKind::kAnalytical)
+    for (const char* key : {"seed", "frames_per_point", "pass"})
+      if (j.find(key))
+        throw std::invalid_argument(std::string("evaluator: field '") + key +
+                                    "' does not apply to kind 'analytical'");
   if (out.kind == EvaluatorKind::kGroundTruth) {
     if (const Json* s = j.find("seed")) out.seed = parse_hex64(s->as_string());
     if (const Json* f = j.find("frames_per_point"))

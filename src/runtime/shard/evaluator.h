@@ -67,6 +67,9 @@ struct EvaluatorSpec {
   }
 
   [[nodiscard]] Json to_json() const;
+  /// Strict inverse of to_json: an unknown key, or a ground-truth key
+  /// (seed, frames_per_point, pass) on an analytical evaluator, throws
+  /// std::invalid_argument naming it.
   [[nodiscard]] static EvaluatorSpec from_json(const Json& j);
 };
 

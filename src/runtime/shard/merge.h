@@ -74,11 +74,11 @@ struct MergedSummary {
     bool require_complete_cover = true);
 
 /// Rebuild one shard's PartialReduction from its <stem>.xrb record
-/// stream: the identity comes from the stream's own header, and the fold
-/// runs column-wise without rehydrating rows (fold_binary_partial). The
-/// stream must be complete and valid: tears and corruption are named
-/// errors, never truncation. Throws std::invalid_argument naming any path
-/// that is not a .xrb record stream.
+/// stream: the identity comes from the stream's own header, and every
+/// record is folded in order (fold_binary_partial). The stream must be
+/// complete and valid: tears and corruption are named errors, never
+/// truncation. Throws std::invalid_argument naming any path that is not a
+/// .xrb record stream.
 [[nodiscard]] PartialReduction partial_from_records(
     const std::string& record_path);
 

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/serialize.h"
-
 namespace xr::runtime::shard {
 
 RecordFormat format_from_name(const std::string& name) {
@@ -27,21 +25,12 @@ bool is_record_path(std::string_view path) noexcept {
              kRecordExtension;
 }
 
-std::string record_line(std::size_t global_index,
-                        const core::PerformanceReport& report,
-                        const GtMeasurement* gt, bool metrics_only) {
+std::string record_line(const ParsedRecord& record) {
   Json j = Json::object();
-  j.set("i", global_index);
-  if (metrics_only) {
-    // Slim shape: exactly the totals the reduction consumes.
-    j.set("latency_ms", report.latency.total);
-    j.set("energy_mj", report.energy.total);
-  } else {
-    j.set("latency", core::to_json(report.latency));
-    j.set("energy", core::to_json(report.energy));
-    j.set("sensors", core::to_json(report.sensors));
-  }
-  if (gt) {
+  j.set("i", record.index);
+  j.set("latency_ms", record.latency_ms);
+  j.set("energy_mj", record.energy_mj);
+  if (const auto& gt = record.gt) {
     Json g = Json::object();
     g.set("seed", format_hex64(gt->seed));
     g.set("frames", gt->frames);

@@ -4,15 +4,18 @@
 // <stem>.xrb, the binary columnar stream of binary_stream.h, and every
 // reader (resume scan, merge fold, the adaptive pass-2 copy, sweep_plan's
 // refinement selection, sweep_merge --dump) decodes the same record model:
-// a global index, a PerformanceReport full or slim, and an optional
-// GtMeasurement. A PartialReduction is a pure function of the decoded
-// totals, so K shards merge bitwise identical to the monolithic run.
+// a global index, the point's end-to-end latency and energy totals, and an
+// optional GtMeasurement. Those are all any reader uses — the reductions
+// run on totals (or GT means), and an OffloadPlan re-derives its winners'
+// per-segment breakdowns through the model — so a record carries nothing
+// else. A PartialReduction is a pure function of the decoded totals, so K
+// shards merge bitwise identical to the monolithic run.
 //
-// Record shapes:
+// Record shape:
 //
-//   full          {index, LatencyBreakdown, EnergyBreakdown, sensors[]}
-//   metrics-only  {index, latency total, energy total}   (slim)
-//   either + gt   {seed, frames, mean latency/energy, model error %}
+//   {index, latency total, energy total}
+//   + gt on ground-truth streams: {seed, frames, mean latency/energy,
+//                                  model error %}
 //
 // record_line() renders one record as a JSON line; `sweep_merge --dump`
 // prints a stream through it, so records stay greppable without a second
@@ -30,7 +33,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/framework.h"
 #include "runtime/shard/evaluator.h"
 #include "runtime/shard/jsonio.h"
 #include "runtime/shard/shard_plan.h"
@@ -75,19 +77,15 @@ struct ShardIdentity {
 
 struct ParsedRecord {
   std::size_t index = 0;
-  core::PerformanceReport report;   ///< slim records fill only the totals.
+  double latency_ms = 0;            ///< the model's end-to-end latency.
+  double energy_mj = 0;             ///< the model's end-to-end energy.
   std::optional<GtMeasurement> gt;  ///< present for ground-truth records.
-  bool slim = false;                ///< record was in metrics-only form.
 };
 
-/// Render one record as a single JSON line (no trailing newline), doubles
-/// in shortest round-trip form. `gt` (when non-null) appends the
-/// ground-truth measurement block; `metrics_only` emits the slim
-/// totals-only shape.
-[[nodiscard]] std::string record_line(std::size_t global_index,
-                                      const core::PerformanceReport& report,
-                                      const GtMeasurement* gt = nullptr,
-                                      bool metrics_only = false);
+/// Render one record as a single JSON line (no trailing newline):
+/// {"i", "latency_ms", "energy_mj"} plus a "gt" block on ground-truth
+/// records, doubles in shortest round-trip form.
+[[nodiscard]] std::string record_line(const ParsedRecord& record);
 
 /// The knobs of one record stream.
 struct SinkOptions {
@@ -101,10 +99,6 @@ struct SinkOptions {
   /// runs over the measured means, and the partial carries a GtAggregate
   /// (even while empty).
   bool ground_truth = false;
-  /// Metrics mode: write slim totals-only records. The reduction (and so
-  /// the merge law) is unaffected; resume rewrites a stream whose record
-  /// shape disagrees with this flag.
-  bool metrics_only = false;
 };
 
 }  // namespace xr::runtime::shard

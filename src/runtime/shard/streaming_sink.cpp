@@ -176,6 +176,14 @@ void PartialReduction::add(std::size_t global_index, double latency_ms,
   frontier_[latency_ms] = {energy_mj, global_index};
 }
 
+void PartialReduction::add(const ParsedRecord& record) {
+  if (record.gt)
+    add(record.index, record.gt->mean_latency_ms, record.gt->mean_energy_mj,
+        &*record.gt);
+  else
+    add(record.index, record.latency_ms, record.energy_mj);
+}
+
 std::vector<ParetoPoint> PartialReduction::pareto() const {
   std::vector<ParetoPoint> out;
   out.reserve(frontier_.size());
@@ -192,14 +200,8 @@ StreamingSink::Recovery StreamingSink::scan_existing(
   Recovery rec;
   rec.partial = PartialReduction(id, options.ground_truth);
   const BinaryRecovery scanned = scan_binary_prefix(
-      options, id, plan, [&rec](const ParsedRecord& r) {
-        if (r.gt)
-          rec.partial.add(r.index, r.gt->mean_latency_ms,
-                          r.gt->mean_energy_mj, &*r.gt);
-        else
-          rec.partial.add(r.index, r.report.latency.total,
-                          r.report.energy.total);
-      });
+      options, id, plan,
+      [&rec](const ParsedRecord& r) { rec.partial.add(r); });
   rec.records = scanned.records;
   rec.valid_bytes = scanned.valid_bytes;
   return rec;

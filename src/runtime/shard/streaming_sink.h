@@ -1,8 +1,8 @@
 // Bounded-memory, chunked result delivery with mergeable reductions.
 //
 // A shard worker never holds its whole report vector: it evaluates the grid
-// in chunks, appends each report to its record stream (<stem>.xrb, the
-// binary columnar format of binary_stream.h), and folds it into a
+// in chunks, appends each report's totals to its record stream (<stem>.xrb,
+// the binary columnar format of binary_stream.h), and folds them into a
 // PartialReduction — the exact sufficient statistic for every BatchResult
 // summary (per-metric argmin/min/max, the latency/energy Pareto frontier,
 // throughput stats). K partial reductions over a disjoint cover of the
@@ -22,17 +22,15 @@
 //     bit-for-bit: raw IEEE-754 little-endian columns in the record stream.
 //
 // A PartialReduction is therefore a pure function of the decoded totals,
-// which is why slim and full record shapes merge to bitwise-identical
-// summaries, and why the stream is a shard's only file: resume and merge
-// rebuild the reduction from it.
+// which is why the stream is a shard's only file: resume and merge rebuild
+// the reduction from it.
 //
-// Record shapes — full, metrics-only (SinkOptions::metrics_only, the
-// sweep_worker --metrics flag, for million-point grids where breakdowns
-// dominate I/O), and either shape plus a ground-truth measurement block
-// (see evaluator.h) — are defined once in record_stream.h. In ground-truth
-// mode the reduction runs over the *measurements* (extrema and Pareto on
-// GT means) plus a GtAggregate of exactly-mergeable sums (ExactSum), so GT
-// summaries obey the same bitwise merge law as analytical ones.
+// The record shape — index and totals, plus a ground-truth measurement
+// block on GT streams (see evaluator.h) — is defined once in
+// record_stream.h. In ground-truth mode the reduction runs over the
+// *measurements* (extrema and Pareto on GT means) plus a GtAggregate of
+// exactly-mergeable sums (ExactSum), so GT summaries obey the same bitwise
+// merge law as analytical ones.
 //
 // The sink flushes every chunk_records records, so a killed worker loses
 // at most one chunk; scan_existing() recovers the longest valid record
@@ -133,6 +131,9 @@ class PartialReduction {
   /// mismatch means the record stream and the spec disagree).
   void add(std::size_t global_index, double latency_ms, double energy_mj,
            const GtMeasurement* gt = nullptr);
+  /// Fold one decoded record: its measured means when it carries a
+  /// GtMeasurement, its totals otherwise.
+  void add(const ParsedRecord& record);
 
   [[nodiscard]] bool ground_truth() const noexcept { return gt_.has_value(); }
   /// The GT aggregate, or nullptr for analytical reductions.

@@ -120,7 +120,6 @@ WorkerSpec WorkerSpec::from_request(const runtime::SweepRequest& request,
   spec.chunk_records = request.execution.chunk_records;
   spec.threads = request.execution.threads;
   spec.grain = request.execution.grain;
-  spec.metrics = request.execution.metrics;
   spec.resume = resume;
   spec.adaptive = request.adaptive;
   return spec;
@@ -270,7 +269,6 @@ ShardRun::State::State(const WorkerSpec& s)
   options.output_stem = spec.output;
   options.chunk_records = chunk;
   options.ground_truth = spec.evaluator.is_ground_truth();
-  options.metrics_only = spec.metrics;
 
   // Worker pool per the BatchOptions convention; chunks always land in
   // ascending index order regardless of thread count (the per-point seed
@@ -362,12 +360,10 @@ WorkerOutcome ShardRun::step(std::size_t max_new_records) {
           throw std::runtime_error(
               "run_worker: coarse record for index " + std::to_string(g) +
               " carries no ground-truth measurement");
-        if (r.slim != s.spec.metrics)
-          throw std::runtime_error(
-              "run_worker: coarse record shape (slim vs full) disagrees "
-              "with this leg's metrics mode — rerun the coarse pass with "
-              "the same execution.metrics");
-        return EvaluatedPoint{r.report, r.gt};
+        EvaluatedPoint copy{{}, r.gt};
+        copy.report.latency.total = r.latency_ms;
+        copy.report.energy.total = r.energy_mj;
+        return copy;
       }
       return evaluate_point(s.eval, s.model, s.grid.at(g), g);
     };

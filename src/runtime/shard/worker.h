@@ -60,9 +60,6 @@ struct WorkerSpec {
   /// Indices per claimed parallel task chunk (0 = auto); see
   /// BatchOptions::grain. Mechanics only, never identity.
   std::size_t grain = 0;
-  /// Slim totals-only records (see record_stream.h). Never affects the
-  /// partial reduction or the merge law.
-  bool metrics = false;
   /// Continue from an existing record stream instead of restarting.
   bool resume = false;
 

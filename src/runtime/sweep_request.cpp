@@ -41,7 +41,12 @@ ReductionSpec ReductionSpec::from_json(const core::Json& j) {
   });
   ReductionSpec out;
   out.kind = reduction_from_name(j.at("kind").as_string());
-  if (const core::Json* a = j.find("alpha")) out.alpha = a->as_double();
+  if (const core::Json* a = j.find("alpha")) {
+    if (out.kind == ReductionKind::kSummary)
+      throw std::invalid_argument(
+          "reduction: field 'alpha' does not apply to kind 'summary'");
+    out.alpha = a->as_double();
+  }
   if (out.alpha < 0 || out.alpha > 1)
     throw std::invalid_argument("ReductionSpec: alpha must be in [0, 1]");
   return out;
@@ -52,7 +57,6 @@ core::Json ExecutionSpec::to_json() const {
   j.set("threads", threads);
   j.set("chunk_records", chunk_records);
   if (grain != 0) j.set("grain", grain);
-  j.set("metrics", metrics);
   return j;
 }
 
@@ -63,7 +67,6 @@ ExecutionSpec ExecutionSpec::from_json(const core::Json& j) {
     if (key == "threads") out.threads = value.as_size();
     else if (key == "chunk_records") out.chunk_records = value.as_size();
     else if (key == "grain") out.grain = value.as_size();
-    else if (key == "metrics") out.metrics = value.as_bool();
     else if (key == "format")
       out.format = shard::format_from_name(value.as_string());
     else return false;

@@ -10,12 +10,13 @@
 //    "adaptive":  {"coarse_frames": 20,         // optional: multi-fidelity
 //                  "fine_frames": 200,          // (ground truth only; see
 //                  "band_fraction": 0.05},      //  runtime/adaptive.h)
-//    "execution": {"threads": N, "chunk_records": N, "grain": N,
-//                  "metrics": false}}
+//    "execution": {"threads": N, "chunk_records": N, "grain": N}}
 //
 // from_json is strict: the request and every block it parses (grid, its
 // base and axes, evaluator, reduction, execution, adaptive) refuse a key
-// they do not know with std::invalid_argument naming block and key.
+// they do not know with std::invalid_argument naming block and key, and
+// the evaluator and reduction also refuse a key of another kind (a seed
+// on an analytical evaluator, an alpha on a summary reduction).
 //
 // The same document runs monolithically (run_request, below) or sharded
 // (sweep_worker --request, one process per shard, merged by sweep_merge)
@@ -33,7 +34,7 @@
 //                    OffloadPlan that merges exactly across shards.
 //
 // The execution block is per-process mechanics (thread count, flush
-// cadence, slim records); it never affects result values
+// cadence, task grain); it never affects result values
 // — only the grid, evaluator, and reduction do, which is why only those
 // are fingerprinted.
 #pragma once
@@ -69,8 +70,8 @@ struct ReductionSpec {
 };
 
 /// Per-process execution mechanics. Never part of the result identity —
-/// thread count, chunk cadence, task grain, and record shape never change
-/// a value (the bitwise determinism the runtime and shard tests assert).
+/// thread count, chunk cadence, and task grain never change a value (the
+/// bitwise determinism the runtime and shard tests assert).
 struct ExecutionSpec {
   /// BatchOptions convention: 0 = shared pool, 1 = strict serial,
   /// N = dedicated pool of N workers.
@@ -80,8 +81,6 @@ struct ExecutionSpec {
   /// Indices per claimed parallel task chunk: 0 = auto,
   /// max(1, n / (8 · threads)) — see BatchOptions::grain.
   std::size_t grain = 0;
-  /// Slim totals-only records (see record_stream.h).
-  bool metrics = false;
   /// The record encoding, which has one value. from_json accepts
   /// "format": "binary" and refuses any other name; to_json omits it.
   shard::RecordFormat format = shard::RecordFormat::kBinary;

@@ -60,18 +60,4 @@ std::string SeriesSet::render_table(int precision) const {
   return oss.str();
 }
 
-CsvTable SeriesSet::to_table() const {
-  check_shared_grid(series_);
-  std::vector<std::string> cols{x_label_};
-  for (const auto& s : series_) cols.push_back(s.label);
-  CsvTable table(std::move(cols));
-  const auto& xs = series_.front().x;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    std::vector<double> row{xs[i]};
-    for (const auto& s : series_) row.push_back(s.y[i]);
-    table.add_row(row);
-  }
-  return table;
-}
-
 }  // namespace xr::trace

@@ -2,14 +2,12 @@
 //
 // A SeriesSet holds several labelled curves sharing an x-axis meaning (e.g.
 // "GT (1 GHz)", "Proposed (1 GHz)" for Fig. 4a) and can render them as a
-// combined table or CSV for plotting.
+// combined table.
 #pragma once
 
 #include <deque>
 #include <string>
 #include <vector>
-
-#include "trace/csv.h"
 
 namespace xr::trace {
 
@@ -47,9 +45,6 @@ class SeriesSet {
   /// Render as an aligned table: first column x, one column per series.
   /// All series must share identical x grids; throws std::logic_error if not.
   [[nodiscard]] std::string render_table(int precision = 2) const;
-
-  /// As a CsvTable (x plus one column per series).
-  [[nodiscard]] CsvTable to_table() const;
 
  private:
   std::string name_;

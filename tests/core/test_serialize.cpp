@@ -106,5 +106,30 @@ TEST(JsonNumbers, RoundTripExactly) {
   }
 }
 
+TEST(JsonParse, RejectsDuplicateKeys) {
+  // A key given twice in one object is an error naming it, at the top
+  // level and nested; the same key in sibling objects is not.
+  struct Case {
+    const char* text;
+    const char* key;
+  };
+  for (const Case c : {Case{R"({"a":1,"b":2,"a":3})", "a"},
+                       Case{R"({"outer":{"kind":"x","n":0,"n":0}})", "n"},
+                       Case{R"([{"a":1},{"b":1,"b":{}}])", "b"}}) {
+    SCOPED_TRACE(c.text);
+    try {
+      (void)Json::parse(c.text);
+      ADD_FAILURE() << "a duplicate key parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate key '" +
+                                           std::string(c.key) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const Json ok = Json::parse(R"({"a":{"k":1},"b":{"k":2}})");
+  EXPECT_EQ(ok.at("b").at("k").as_size(), 2u);
+}
+
 }  // namespace
 }  // namespace xr::core

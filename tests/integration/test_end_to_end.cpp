@@ -147,22 +147,5 @@ TEST(Integration, HandoffChargesOnlyRemoteMobileScenarios) {
   EXPECT_NEAR(mobile - base, hom.expected_latency_ms(), 1e-9);
 }
 
-TEST(Integration, EndToEndReportRoundTripThroughCsv) {
-  // Figure data survives the CSV serialization used by the benches.
-  testbed::SweepConfig cfg;
-  cfg.frame_sizes = {300, 500};
-  cfg.cpu_clocks_ghz = {2.0};
-  cfg.frames_per_point = 30;
-  const auto r =
-      testbed::run_latency_validation(core::InferencePlacement::kLocal, cfg);
-  const auto table = r.series.to_table();
-  const auto round = trace::CsvTable::parse(table.to_csv());
-  EXPECT_EQ(round.rows(), table.rows());
-  EXPECT_EQ(round.columns(), table.columns());
-  for (std::size_t i = 0; i < round.rows(); ++i)
-    for (std::size_t j = 0; j < round.columns(); ++j)
-      EXPECT_DOUBLE_EQ(round.row(i)[j], table.row(i)[j]);
-}
-
 }  // namespace
 }  // namespace xr

@@ -78,9 +78,7 @@ std::map<std::size_t, std::string> records_of(const std::string& path) {
   std::map<std::size_t, std::string> out;
   RecordSource source(path);
   ParsedRecord r;
-  while (source.next(r))
-    out[r.index] =
-        record_line(r.index, r.report, r.gt ? &*r.gt : nullptr, r.slim);
+  while (source.next(r)) out[r.index] = record_line(r);
   return out;
 }
 

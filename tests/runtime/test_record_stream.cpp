@@ -1,8 +1,9 @@
 // The record-stream contract: the .xrb stream carries the record model
-// bit-for-bit in every shape, K shards merge bitwise identical to the
-// monolithic run, kill/resume keeps byte identity on the chunk grid, and a
-// chunk header that lies about its counts or sizes is a named error, never
-// an allocation sized from it or a silent rewrite.
+// bit-for-bit with and without a ground-truth block, K shards merge bitwise
+// identical to the monolithic run, kill/resume keeps byte identity on the
+// chunk grid, a chunk header that lies about its counts or sizes is a
+// named error, never an allocation sized from it or a silent rewrite, and
+// an older build's full-breakdown stream is refused by name.
 #include "runtime/shard/record_stream.h"
 
 #include <gtest/gtest.h>
@@ -78,27 +79,6 @@ GridSpec small_spec() {
   return spec;
 }
 
-void expect_reports_equal(const core::PerformanceReport& a,
-                          const core::PerformanceReport& b) {
-  EXPECT_EQ(a.latency.total, b.latency.total);
-  EXPECT_EQ(a.latency.buffer_wait, b.latency.buffer_wait);
-  EXPECT_EQ(a.energy.total, b.energy.total);
-  EXPECT_EQ(a.energy.thermal, b.energy.thermal);
-  EXPECT_EQ(a.energy.base, b.energy.base);
-  for (core::Segment s : core::all_segments()) {
-    EXPECT_EQ(a.latency.segment(s), b.latency.segment(s));
-    EXPECT_EQ(a.energy.segment(s), b.energy.segment(s));
-  }
-  ASSERT_EQ(a.sensors.size(), b.sensors.size());
-  for (std::size_t m = 0; m < a.sensors.size(); ++m) {
-    EXPECT_EQ(a.sensors[m].name, b.sensors[m].name);
-    EXPECT_EQ(a.sensors[m].average_aoi_ms, b.sensors[m].average_aoi_ms);
-    EXPECT_EQ(a.sensors[m].processed_hz, b.sensors[m].processed_hz);
-    EXPECT_EQ(a.sensors[m].roi, b.sensors[m].roi);
-    EXPECT_EQ(a.sensors[m].fresh, b.sensors[m].fresh);
-  }
-}
-
 TEST_F(RecordStreamTest, FormatHelpers) {
   EXPECT_EQ(format_from_name("binary"), RecordFormat::kBinary);
   EXPECT_THROW((void)format_from_name("csv"), std::invalid_argument);
@@ -163,9 +143,9 @@ TEST_F(RecordStreamTest, BinaryRoundTripIsBitwiseExact) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(source.next(r));
     EXPECT_EQ(r.index, i);
-    EXPECT_FALSE(r.slim);
+    EXPECT_EQ(r.latency_ms, reports[i].latency.total);
+    EXPECT_EQ(r.energy_mj, reports[i].energy.total);
     EXPECT_FALSE(r.gt.has_value());
-    expect_reports_equal(r.report, reports[i]);
   }
   EXPECT_FALSE(source.next(r));
 
@@ -174,10 +154,9 @@ TEST_F(RecordStreamTest, BinaryRoundTripIsBitwiseExact) {
   EXPECT_EQ(header.id.grid_size, grid.size());
   EXPECT_EQ(header.id.grid_fingerprint, 77u);
   EXPECT_FALSE(header.ground_truth);
-  EXPECT_FALSE(header.metrics_only);
 }
 
-TEST_F(RecordStreamTest, BinaryGroundTruthAndSlimShapesRoundTrip) {
+TEST_F(RecordStreamTest, BinaryGroundTruthShapeRoundTrips) {
   const auto grid = small_spec().build();
   EvaluatorSpec gt_ev;
   gt_ev.kind = EvaluatorKind::kGroundTruth;
@@ -195,41 +174,22 @@ TEST_F(RecordStreamTest, BinaryGroundTruthAndSlimShapesRoundTrip) {
     }
     (void)sink.flush();
   }
-  {
-    RecordSource source(stem("gt") + ".xrb");
-    ParsedRecord r;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      ASSERT_TRUE(source.next(r));
-      ASSERT_TRUE(r.gt.has_value());
-      EXPECT_EQ(r.gt->seed, points[i].gt->seed);
-      EXPECT_EQ(r.gt->frames, points[i].gt->frames);
-      EXPECT_EQ(r.gt->mean_latency_ms, points[i].gt->mean_latency_ms);
-      EXPECT_EQ(r.gt->mean_energy_mj, points[i].gt->mean_energy_mj);
-      EXPECT_EQ(r.gt->latency_error_pct, points[i].gt->latency_error_pct);
-      EXPECT_EQ(r.gt->energy_error_pct, points[i].gt->energy_error_pct);
-      expect_reports_equal(r.report, points[i].report);
-    }
-    EXPECT_FALSE(source.next(r));
-  }
-
-  // Slim (metrics-only) records keep the totals bit-for-bit.
-  {
-    RecordSink sink(
-        SinkOptions{stem("slim"), 3, /*ground_truth=*/false,
-                    /*metrics_only=*/true},
-        id);
-    for (std::size_t i = 0; i < grid.size(); ++i)
-      sink.append(i, points[i].report, nullptr);
-    (void)sink.flush();
-  }
-  RecordSource source(stem("slim") + ".xrb");
+  EXPECT_TRUE(read_binary_header(stem("gt") + ".xrb").ground_truth);
+  RecordSource source(stem("gt") + ".xrb");
   ParsedRecord r;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(source.next(r));
-    EXPECT_TRUE(r.slim);
-    EXPECT_EQ(r.report.latency.total, points[i].report.latency.total);
-    EXPECT_EQ(r.report.energy.total, points[i].report.energy.total);
+    EXPECT_EQ(r.latency_ms, points[i].report.latency.total);
+    EXPECT_EQ(r.energy_mj, points[i].report.energy.total);
+    ASSERT_TRUE(r.gt.has_value());
+    EXPECT_EQ(r.gt->seed, points[i].gt->seed);
+    EXPECT_EQ(r.gt->frames, points[i].gt->frames);
+    EXPECT_EQ(r.gt->mean_latency_ms, points[i].gt->mean_latency_ms);
+    EXPECT_EQ(r.gt->mean_energy_mj, points[i].gt->mean_energy_mj);
+    EXPECT_EQ(r.gt->latency_error_pct, points[i].gt->latency_error_pct);
+    EXPECT_EQ(r.gt->energy_error_pct, points[i].gt->energy_error_pct);
   }
+  EXPECT_FALSE(source.next(r));
 }
 
 TEST_F(RecordStreamTest, BinaryWriteReadWriteIsByteIdentical) {
@@ -245,7 +205,10 @@ TEST_F(RecordStreamTest, BinaryWriteReadWriteIsByteIdentical) {
     ParsedRecord r;
     std::size_t n = 0;
     while (source.next(r)) {
-      sink.append(r.index, r.report, r.gt ? &*r.gt : nullptr);
+      core::PerformanceReport report;
+      report.latency.total = r.latency_ms;
+      report.energy.total = r.energy_mj;
+      sink.append(r.index, report, r.gt ? &*r.gt : nullptr);
       if (++n % a.chunk_records == 0) (void)sink.flush();
     }
     (void)sink.flush();
@@ -529,9 +492,7 @@ std::vector<std::string> dump_lines(const std::string& path) {
   RecordSource source(path);
   std::vector<std::string> lines;
   ParsedRecord r;
-  while (source.next(r))
-    lines.push_back(
-        record_line(r.index, r.report, r.gt ? &*r.gt : nullptr, r.slim));
+  while (source.next(r)) lines.push_back(record_line(r));
   return lines;
 }
 
@@ -593,11 +554,37 @@ TEST_F(RecordStreamTest, ChunkHeaderLiesAreNamedErrors) {
   }
 }
 
+TEST_F(RecordStreamTest, FullBreakdownStreamsAreRefusedByName) {
+  // Older builds could write a full-breakdown shape, marked by header bit
+  // 0 clear. The dump, the merge fold, and resume each refuse it by name,
+  // and resume does so before it truncates or rewrites anything.
+  WorkerSpec spec;
+  spec.grid = small_spec();
+  spec.output = stem("old");
+  spec.chunk_records = 4;
+  const std::string path = run_worker(spec).records_path;
+  std::string bytes = read_file(path);
+  bytes[16] = char(bytes[16] & ~1);  // shape flags: clear bit 0
+  write_file(path, bytes);
+
+  const auto named = [&](const std::string& what) {
+    return what.find(path) != std::string::npos &&
+           what.find("full-breakdown") != std::string::npos;
+  };
+  EXPECT_TRUE(named(runtime_error_of([&] { (void)dump_lines(path); })));
+  EXPECT_TRUE(
+      named(runtime_error_of([&] { (void)merge_partial_files({path}); })));
+  spec.resume = true;
+  EXPECT_TRUE(named(runtime_error_of([&] { (void)run_worker(spec); })));
+  EXPECT_EQ(read_file(path), bytes);
+}
+
 TEST_F(RecordStreamTest, SeededByteMutationsThrowOrReadBackTheOriginal) {
-  // Every byte of a 3-chunk stream, in each record shape, overwritten in
-  // turn with a seeded different value: strict readers either throw a
-  // named error or return exactly the original records, and the resume
-  // scan either throws or recovers a prefix of them.
+  // Every byte of a 3-chunk stream, with and without the ground-truth
+  // block, overwritten in turn with a seeded different value: strict
+  // readers either throw a named error or return exactly the original
+  // records, and the resume scan either throws or recovers a prefix of
+  // them.
   const auto grid = small_spec().build();
   const std::size_t n = grid.size();  // 9 records: chunks of 4, 4 and 1.
   const ShardPlan plan(n, 1, ShardStrategy::kRange);
@@ -610,14 +597,10 @@ TEST_F(RecordStreamTest, SeededByteMutationsThrowOrReadBackTheOriginal) {
   struct Shape {
     const char* name;
     bool ground_truth;
-    bool metrics_only;
   };
-  for (const Shape shape : {Shape{"full", false, false},
-                            Shape{"slim", false, true},
-                            Shape{"gt", true, false}}) {
+  for (const Shape shape : {Shape{"totals", false}, Shape{"gt", true}}) {
     SCOPED_TRACE(shape.name);
-    const SinkOptions options{stem(shape.name), 4, shape.ground_truth,
-                              shape.metrics_only};
+    const SinkOptions options{stem(shape.name), 4, shape.ground_truth};
     const ShardIdentity id{0, 1, ShardStrategy::kRange, n, 21};
     const std::string path = options.output_stem + ".xrb";
     // The original stream and what every reader makes of it.

@@ -2,17 +2,14 @@
 // monolithically (run_request) or sharded (run_worker per shard + merge)
 // with bitwise-equal summaries; an offload_plan reduction over it merges to
 // an OffloadPlan byte-identical to the monolithic plan_offload call; and
-// the metrics (slim-record) execution mode changes the record schema
-// without touching the merge law.
+// every record carries only the totals the reductions read.
 #include "runtime/sweep_request.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -162,6 +159,40 @@ TEST_F(SweepRequestTest, RejectsBadDocuments) {
               std::string::npos);
   }
 
+  // A key given twice is refused, not settled by the later one: an
+  // analytical evaluator slipped in before the ground-truth one must not
+  // turn the sweep into either.
+  SweepRequest gt_request = demo_request();
+  gt_request.evaluator.kind = shard::EvaluatorKind::kGroundTruth;
+  std::string doubled = gt_request.to_json().dump();
+  const std::size_t at = doubled.find("\"evaluator\":");
+  ASSERT_NE(at, std::string::npos);
+  doubled.insert(at, "\"evaluator\":{\"kind\":\"analytical\"},");
+  try {
+    (void)SweepRequest::from_json(Json::parse(doubled));
+    ADD_FAILURE() << "a doubled evaluator parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate key 'evaluator'"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // A key that belongs to another kind is refused, naming block, kind and
+  // key: an analytical evaluator with a seed, or a summary with an alpha,
+  // says something the sweep would silently not do.
+  const Json plain = demo_request().to_json();
+  for (const char* key : {"seed", "frames_per_point", "pass"}) {
+    const std::string why = refusal(with_member(plain, {"evaluator"}, key));
+    EXPECT_NE(why.find(std::string("evaluator: field '") + key +
+                       "' does not apply to kind 'analytical'"),
+              std::string::npos)
+        << key << ": '" << why << "'";
+  }
+  EXPECT_NE(refusal(with_member(plain, {"reduction"}, "alpha"))
+                .find("reduction: field 'alpha' does not apply to kind "
+                      "'summary'"),
+            std::string::npos);
+
   // Every block refuses a key it does not know, naming block and key: a
   // misspelled "evaluater" must not quietly run the analytical default,
   // nor an "alpah" plan with the default weight.
@@ -183,6 +214,7 @@ TEST_F(SweepRequestTest, RejectsBadDocuments) {
                              Stray{{"evaluator"}, "frames", "evaluator"},
                              Stray{{"reduction"}, "alpah", "reduction"},
                              Stray{{"execution"}, "thread", "execution"},
+                             Stray{{"execution"}, "metrics", "execution"},
                              Stray{{"adaptive"}, "band", "adaptive"}}) {
     const std::string why = refusal(with_member(full, stray.path, stray.key));
     EXPECT_NE(why.find(std::string(stray.block) + ": unknown field '" +
@@ -259,7 +291,6 @@ TEST_F(SweepRequestTest, SeededMutationsThrowOrRoundTrip) {
   search.execution.threads = 3;
   search.execution.chunk_records = 16;
   search.execution.grain = 5;
-  search.execution.metrics = true;
 
   std::size_t mutants = 0, parsed = 0;
   std::uint64_t seed = 0x5EED0000u;
@@ -405,95 +436,30 @@ TEST_F(SweepRequestTest, OffloadSearchSpaceRoundTripsAndValidates) {
                std::invalid_argument);
 }
 
-// ---- metrics (slim-record) execution mode ------------------------------
+// ---- the record shape ---------------------------------------------------
 
-/// The first record of a stream, decoded.
-shard::ParsedRecord first_record(const std::string& path) {
-  shard::RecordSource source(path);
-  shard::ParsedRecord r;
-  EXPECT_TRUE(source.next(r)) << path << " holds no record";
-  return r;
-}
-
-/// The first record of a stream as `sweep_merge --dump` prints it.
-std::string first_line(const std::string& path) {
-  const shard::ParsedRecord r = first_record(path);
-  return shard::record_line(r.index, r.report, r.gt ? &*r.gt : nullptr,
-                            r.slim);
-}
-
-TEST_F(SweepRequestTest, MetricsRecordsFollowTheSlimSchema) {
-  SweepRequest request = demo_request();
-  request.execution.metrics = true;
-
-  const auto spec = shard::WorkerSpec::from_request(
-      request, 0, 1, shard::ShardStrategy::kRange, stem("slim"));
-  ASSERT_TRUE(spec.metrics);
-  const auto outcome = shard::run_worker(spec);
+TEST_F(SweepRequestTest, RecordsCarryOnlyTheTotals) {
+  const SweepRequest request = demo_request();
+  const auto outcome = shard::run_worker(shard::WorkerSpec::from_request(
+      request, 0, 1, shard::ShardStrategy::kRange, stem("totals")));
   ASSERT_TRUE(outcome.complete);
 
-  // Schema: exactly {"i", "latency_ms", "energy_mj"}, in that order.
-  const Json record = Json::parse(first_line(outcome.records_path));
+  shard::RecordSource source(outcome.records_path);
+  shard::ParsedRecord first;
+  ASSERT_TRUE(source.next(first));
+  const auto reference =
+      core::XrPerformanceModel{}.evaluate(request.grid.build().at(0));
+  EXPECT_EQ(first.latency_ms, reference.latency.total);
+  EXPECT_EQ(first.energy_mj, reference.energy.total);
+
+  // As `sweep_merge --dump` prints it: exactly {"i", "latency_ms",
+  // "energy_mj"}, in that order.
+  const Json record = Json::parse(shard::record_line(first));
   const auto& members = record.as_object();
   ASSERT_EQ(members.size(), 3u);
   EXPECT_EQ(members[0].first, "i");
   EXPECT_EQ(members[1].first, "latency_ms");
   EXPECT_EQ(members[2].first, "energy_mj");
-
-  // Slim records decode flagged as slim, with the exact totals.
-  const auto parsed = first_record(outcome.records_path);
-  EXPECT_TRUE(parsed.slim);
-  const auto reference = core::XrPerformanceModel{}.evaluate(
-      request.grid.build().at(0));
-  EXPECT_EQ(parsed.report.latency.total, reference.latency.total);
-  EXPECT_EQ(parsed.report.energy.total, reference.energy.total);
-}
-
-TEST_F(SweepRequestTest, MetricsModeHoldsTheMergeLawAndResumes) {
-  SweepRequest request = demo_request();
-  const auto full = run_request(request);
-
-  request.execution.metrics = true;
-  request.execution.chunk_records = 2;
-  const auto slim =
-      run_sharded(request, stem("m"), 3, shard::ShardStrategy::kRange);
-  std::string why;
-  EXPECT_TRUE(shard::summaries_equivalent(full, slim, &why)) << why;
-
-  // Kill/resume in metrics mode is byte-identical to an uninterrupted run.
-  auto spec = shard::WorkerSpec::from_request(
-      request, 0, 3, shard::ShardStrategy::kRange, stem("resumed"));
-  const auto first = shard::run_worker(spec, /*max_new_records=*/2);
-  ASSERT_FALSE(first.complete);
-  spec.resume = true;
-  const auto resumed = shard::run_worker(spec);
-  ASSERT_TRUE(resumed.complete);
-
-  std::ifstream a(resumed.records_path, std::ios::binary);
-  std::ifstream b(stem("m") + "0.xrb", std::ios::binary);
-  std::stringstream sa, sb;
-  sa << a.rdbuf();
-  sb << b.rdbuf();
-  EXPECT_EQ(sa.str(), sb.str());
-}
-
-TEST_F(SweepRequestTest, MetricsModeMismatchedResumeRewritesTheStream) {
-  // A full-record stream resumed under metrics mode must not interleave
-  // shapes: the scan treats the foreign-shape prefix as invalid and the
-  // worker rewrites the stream in the requested shape.
-  SweepRequest request = demo_request();
-  auto spec = shard::WorkerSpec::from_request(
-      request, 0, 3, shard::ShardStrategy::kRange, stem("mixed"));
-  const auto full = shard::run_worker(spec);
-  ASSERT_TRUE(full.complete);
-  EXPECT_FALSE(first_record(full.records_path).slim);
-
-  spec.metrics = true;
-  spec.resume = true;
-  const auto rewritten = shard::run_worker(spec);
-  ASSERT_TRUE(rewritten.complete);
-  EXPECT_EQ(rewritten.resumed_records, 0u);  // nothing salvageable
-  EXPECT_TRUE(first_record(rewritten.records_path).slim);
 }
 
 }  // namespace

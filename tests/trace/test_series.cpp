@@ -61,24 +61,12 @@ TEST(SeriesSet, MismatchedLengthThrows) {
   auto& b = set.series("b");
   b.add(1, 1);
   b.add(2, 2);
-  EXPECT_THROW((void)set.to_table(), std::logic_error);
+  EXPECT_THROW((void)set.render_table(), std::logic_error);
 }
 
 TEST(SeriesSet, EmptyThrows) {
   SeriesSet set("fig", "x", "y");
   EXPECT_THROW((void)set.render_table(), std::logic_error);
-}
-
-TEST(SeriesSet, ToTableLayout) {
-  SeriesSet set("fig", "x", "y");
-  set.series("a").add(1, 10);
-  set.series("a").add(2, 20);
-  set.series("b").add(1, 30);
-  set.series("b").add(2, 40);
-  const auto table = set.to_table();
-  EXPECT_EQ(table.columns(), 3u);
-  EXPECT_EQ(table.rows(), 2u);
-  EXPECT_DOUBLE_EQ(table.column("b")[1], 40);
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ void dump_records(const std::string& path) {
   ParsedRecord r;
   std::string line;
   while (source.next(r)) {
-    line = record_line(r.index, r.report, r.gt ? &*r.gt : nullptr, r.slim);
+    line = record_line(r);
     line += '\n';
     if (std::fwrite(line.data(), 1, line.size(), stdout) != line.size())
       throw std::runtime_error("cannot write to stdout");

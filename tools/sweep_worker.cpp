@@ -1,8 +1,9 @@
 // sweep_worker — evaluate one shard of a sweep request, streaming results.
 //
 // One process per shard; each writes a record stream of index-tagged
-// PerformanceReport records — <out>.xrb, the columnar encoding of
-// runtime/shard/binary_stream.h, its only file. sweep_merge folds K
+// latency and energy totals (plus the measurement on ground-truth sweeps)
+// — <out>.xrb, the columnar encoding of runtime/shard/binary_stream.h, its
+// only file. sweep_merge folds K
 // streams back into the monolithic summary, and `sweep_merge --dump
 // <out>.xrb` prints the records as JSON lines. scripts/sweep_sharded.sh
 // drives the whole flow.
